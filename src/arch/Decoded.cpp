@@ -96,8 +96,8 @@ DOpKind kindOf(const MInstr &I) {
 
 /// True when the micro-op's handler writes Rd through the register file
 /// (these must carry a physical Rd; the legacy simulator asserted the
-/// same range on execution).
-bool definesRd(MOp Op) {
+/// same range on execution). Only the decode assert reads it.
+[[maybe_unused]] bool definesRd(MOp Op) {
   switch (Op) {
   case MOp::St:
   case MOp::StA:
@@ -327,6 +327,7 @@ DecodedModule::DecodedModule(const MModule &M) {
     DF.StackedRegsUsed = F.StackedRegsUsed;
     DF.IntHigh = F.StackedRegHigh;
     DF.FpHigh = F.FpRegHigh;
+    DF.ReturnsValue = F.HasReturnValue;
     std::vector<uint32_t> Global(Start);
     for (uint32_t &S : Global)
       S += Base;

@@ -147,6 +147,7 @@ struct DecodedFunction {
   uint32_t FpHigh = 0;  ///< function: [FirstStackedReg, IntHigh) etc.
   const uint32_t *BlockStarts = nullptr; ///< Block id -> stream index.
   uint32_t NumBlocks = 0;
+  bool ReturnsValue = true; ///< MFunction::HasReturnValue.
 };
 
 /// The decode-once, simulate-many form of a lowered module. Immutable

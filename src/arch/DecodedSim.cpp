@@ -788,7 +788,9 @@ Done:
     return Result;
   }
   Result.Ok = true;
-  Result.ExitValue = static_cast<int64_t>(Regs[RegRetInt]);
+  // A void main leaves the return register unspecified.
+  if (Funcs[DM.mainIndex()].ReturnsValue)
+    Result.ExitValue = static_cast<int64_t>(Regs[RegRetInt]);
   Result.Counters.Cycles = Cycle;
   Result.Counters.Instructions = InstrCount;
   Result.Counters.RetiredLoads = NRetiredLoads;

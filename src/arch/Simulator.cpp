@@ -568,7 +568,9 @@ SimResult Machine::run() {
     return Result;
   }
   Result.Ok = true;
-  Result.ExitValue = static_cast<int64_t>(Regs[RegRetInt]);
+  // A void main leaves the return register unspecified.
+  if (Main->HasReturnValue)
+    Result.ExitValue = static_cast<int64_t>(Regs[RegRetInt]);
   Counters.Cycles = Cycle;
   Counters.L1Hits = Mem.l1Hits();
   Counters.L1Misses = Mem.l1Misses();

@@ -656,6 +656,7 @@ std::unique_ptr<MModule> srp::codegen::lowerModule(const ir::Module &M) {
   for (unsigned FI = 0; FI < M.numFunctions(); ++FI) {
     const ir::Function *F = M.function(FI);
     MFunction *MF = MM->createFunction(F->getName());
+    MF->HasReturnValue = F->HasReturnValue;
     FnMap[F] = MF;
     // Formals at FP-8(i+1), then the FP save slot, then locals.
     int64_t Offset = 0;

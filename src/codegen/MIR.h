@@ -239,6 +239,11 @@ public:
   }
   uint64_t frameSize() const { return FrameSize; }
 
+  /// Whether the function returns a value. A void function leaves the
+  /// return register unspecified, so the simulator reports exit value 0
+  /// for a void main (as the interpreter does). Hand-built MIR defaults
+  /// to returning the register.
+  bool HasReturnValue = true;
   /// Register-stack frame size after allocation (drives the RSE model).
   unsigned StackedRegsUsed = 0;
   /// Number of FP registers used (no RSE, but reported).

@@ -5,7 +5,9 @@
 #include "support/Error.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <deque>
 #include <set>
 
 using namespace srp;
@@ -90,38 +92,102 @@ private:
     return Out;
   }
 
+  /// Per-block live-in/live-out sets as word bitsets: block BI's set is
+  /// the LiveWords words at BI * LiveWords, one bit per virtual register.
+  /// Liveness is the least fixpoint of In = Use | (Out & ~Def) with
+  /// Out = union of the successors' In, solved by a worklist seeded in
+  /// post-order (successors before predecessors), so most blocks settle
+  /// on their first visit.
   void computeLiveness() {
-    unsigned NumV = F.numVirtualRegs();
-    LiveIn.assign(F.numBlocks(), std::vector<bool>(NumV, false));
-    LiveOut.assign(F.numBlocks(), std::vector<bool>(NumV, false));
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (unsigned BI = F.numBlocks(); BI-- > 0;) {
-        std::vector<bool> Out(NumV, false);
-        for (unsigned Succ : successors(BI))
-          for (unsigned V = 0; V < NumV; ++V)
-            if (LiveIn[Succ][V])
-              Out[V] = true;
-        std::vector<bool> In = Out;
-        const auto &Instrs = F.block(BI).Instrs;
-        for (auto It = Instrs.rbegin(); It != Instrs.rend(); ++It) {
-          if (It->definesReg() && isVirtualReg(It->Rd))
-            In[vindex(It->Rd)] = false;
-          unsigned Srcs[3];
-          unsigned Count;
-          It->sources(Srcs, Count);
-          for (unsigned K = 0; K < Count; ++K)
-            if (isVirtualReg(Srcs[K]))
-              In[vindex(Srcs[K])] = true;
+    unsigned NumB = F.numBlocks();
+    LiveWords = (F.numVirtualRegs() + 63) / 64;
+    size_t W = LiveWords;
+    LiveIn.assign(NumB * W, 0);
+    LiveOut.assign(NumB * W, 0);
+    std::vector<uint64_t> Use(NumB * W, 0), Def(NumB * W, 0);
+    std::vector<std::vector<unsigned>> Succs(NumB), Preds(NumB);
+    for (unsigned BI = 0; BI < NumB; ++BI) {
+      Succs[BI] = successors(BI);
+      for (unsigned S : Succs[BI])
+        Preds[S].push_back(BI);
+      // Upward-exposed uses and all definitions, walking backwards.
+      uint64_t *U = Use.data() + BI * W, *D = Def.data() + BI * W;
+      const auto &Instrs = F.block(BI).Instrs;
+      for (auto It = Instrs.rbegin(); It != Instrs.rend(); ++It) {
+        if (It->definesReg() && isVirtualReg(It->Rd)) {
+          unsigned V = vindex(It->Rd);
+          U[V / 64] &= ~(1ULL << (V % 64));
+          D[V / 64] |= 1ULL << (V % 64);
         }
-        if (In != LiveIn[BI] || Out != LiveOut[BI]) {
-          LiveIn[BI] = std::move(In);
-          LiveOut[BI] = std::move(Out);
-          Changed = true;
-        }
+        unsigned Srcs[3];
+        unsigned Count;
+        It->sources(Srcs, Count);
+        for (unsigned K = 0; K < Count; ++K)
+          if (isVirtualReg(Srcs[K])) {
+            unsigned V = vindex(Srcs[K]);
+            U[V / 64] |= 1ULL << (V % 64);
+          }
       }
     }
+
+    // Post-order from the entry, then any unreachable blocks.
+    std::vector<unsigned> Order;
+    std::vector<uint8_t> Queued(NumB, 0);
+    std::vector<std::pair<unsigned, size_t>> Stack;
+    for (unsigned Root = 0; Root < NumB; ++Root) {
+      if (Queued[Root])
+        continue;
+      Queued[Root] = 1;
+      Stack.push_back({Root, 0});
+      while (!Stack.empty()) {
+        auto &[B, Next] = Stack.back();
+        if (Next < Succs[B].size()) {
+          unsigned S = Succs[B][Next++];
+          if (!Queued[S]) {
+            Queued[S] = 1;
+            Stack.push_back({S, 0});
+          }
+          continue;
+        }
+        Order.push_back(B);
+        Stack.pop_back();
+      }
+    }
+
+    std::deque<unsigned> Work(Order.begin(), Order.end());
+    std::vector<uint64_t> In(W);
+    while (!Work.empty()) {
+      unsigned BI = Work.front();
+      Work.pop_front();
+      Queued[BI] = 0;
+      uint64_t *Out = LiveOut.data() + BI * W;
+      std::fill(Out, Out + W, 0);
+      for (unsigned S : Succs[BI])
+        for (size_t K = 0; K < W; ++K)
+          Out[K] |= LiveIn[S * W + K];
+      bool Changed = false;
+      for (size_t K = 0; K < W; ++K) {
+        In[K] = Use[BI * W + K] | (Out[K] & ~Def[BI * W + K]);
+        Changed |= In[K] != LiveIn[BI * W + K];
+      }
+      if (!Changed)
+        continue;
+      std::copy(In.begin(), In.end(), LiveIn.begin() + BI * W);
+      for (unsigned P : Preds[BI])
+        if (!Queued[P]) {
+          Queued[P] = 1;
+          Work.push_back(P);
+        }
+    }
+  }
+
+  /// Calls Fn(V) for every virtual register in block BI's set \p Sets.
+  template <typename FnT>
+  void forEachLive(const std::vector<uint64_t> &Sets, unsigned BI,
+                   FnT Fn) const {
+    for (size_t K = 0; K < LiveWords; ++K)
+      for (uint64_t Bits = Sets[BI * LiveWords + K]; Bits; Bits &= Bits - 1)
+        Fn(static_cast<unsigned>(K * 64 + std::countr_zero(Bits)));
   }
 
   void buildIntervals() {
@@ -154,12 +220,10 @@ private:
           Tracked[vindex(I.Rs1)] = true;
         ++Pos;
       }
-      for (unsigned V = 0; V < NumV; ++V) {
-        if (LiveIn[BI][V])
-          Extend(V, BlockStart[BI]);
-        if (LiveOut[BI][V])
-          Extend(V, BlockEnd[BI] == 0 ? 0 : BlockEnd[BI] - 1);
-      }
+      forEachLive(LiveIn, BI, [&](unsigned V) { Extend(V, BlockStart[BI]); });
+      forEachLive(LiveOut, BI, [&](unsigned V) {
+        Extend(V, BlockEnd[BI] == 0 ? 0 : BlockEnd[BI] - 1);
+      });
     }
     for (unsigned V = 0; V < NumV; ++V) {
       if (!Seen[V])
@@ -345,7 +409,8 @@ private:
   RegAllocStats &Stats;
   std::vector<unsigned> BlockStart, BlockEnd;
   unsigned NumPositions = 0;
-  std::vector<std::vector<bool>> LiveIn, LiveOut;
+  size_t LiveWords = 0;
+  std::vector<uint64_t> LiveIn, LiveOut;
   std::vector<Interval> Intervals;
 };
 

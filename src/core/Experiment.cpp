@@ -4,7 +4,10 @@
 
 #include "core/ProfileCache.h"
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -47,7 +50,20 @@ srp::core::runExperiments(const std::vector<Experiment> &Exps,
   // shares the memoized train run (deterministic at any thread count,
   // see ProfileCache.h).
   ProfileCache PC;
-  parallelFor(Opts.Threads, Exps.size(), [&Exps, &Results, &Opts, &PC](size_t I) {
+  // Hand out every workload's first config before any workload's second:
+  // the train runs of distinct workloads then proceed side by side, and
+  // later configs find their snapshot ready instead of waiting on it.
+  // Results still land by input index.
+  std::vector<size_t> Order(Exps.size());
+  std::iota(Order.begin(), Order.end(), 0);
+  std::vector<unsigned> Rank(Exps.size());
+  std::map<const Workload *, unsigned> Seen;
+  for (size_t I = 0; I < Exps.size(); ++I)
+    Rank[I] = Seen[Exps[I].W]++;
+  std::stable_sort(Order.begin(), Order.end(),
+                   [&Rank](size_t A, size_t B) { return Rank[A] < Rank[B]; });
+  parallelFor(Opts.Threads, Exps.size(), [&](size_t K) {
+    size_t I = Order[K];
     const Experiment &E = Exps[I];
     PipelineResult R = runPipeline(*E.W, E.Config, &PC);
     if (Opts.CheckOracle && R.Ok &&

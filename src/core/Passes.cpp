@@ -113,9 +113,15 @@ public:
     if (S.ProfCache) {
       Key = std::string(S.W->Name) + "#" + std::to_string(S.W->TrainScale) +
             "#" + std::to_string(S.Config.InterpFuel);
-      Snap = S.ProfCache->lookup(Key);
+      ProfileCache::Claim C = S.ProfCache->acquire(Key);
+      if (!C.Lead && !C.Snapshot) {
+        S.Result.Error = "train run failed: " + C.Error;
+        return false;
+      }
+      Snap = std::move(C.Snapshot);
     }
     if (!Snap) {
+      // This pipeline leads: every path below publishes or fails the key.
       interp::AliasProfile TrainAP;
       interp::EdgeProfile TrainEP;
       {
@@ -124,6 +130,8 @@ public:
         Interp.setEdgeProfile(&TrainEP);
         interp::RunResult R = Interp.run(S.Config.InterpFuel);
         if (!R.Ok) {
+          if (S.ProfCache)
+            S.ProfCache->fail(Key, R.Error);
           S.Result.Error = "train run failed: " + R.Error;
           return false;
         }
@@ -152,10 +160,9 @@ public:
           }
         }
       }
+      Snap = std::move(NewSnap);
       if (S.ProfCache)
-        Snap = S.ProfCache->insert(Key, std::move(NewSnap));
-      else
-        Snap = std::move(NewSnap);
+        S.ProfCache->publish(Key, Snap);
     }
     // Rebind the snapshot onto the ref module (same function index, same
     // block index, same statement position — exactly what the previous

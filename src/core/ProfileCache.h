@@ -15,15 +15,20 @@
 ///
 /// Determinism: a snapshot's content is a pure function of the cache key
 /// (workload, train scale, interpreter fuel), so which worker computes
-/// it — or whether two compute it racing and one insert wins — cannot
-/// change any pipeline's result. core::runExperiments stays byte-
-/// identical at any thread count.
+/// it cannot change any pipeline's result. core::runExperiments stays
+/// byte-identical at any thread count.
+///
+/// Single flight: configs of one workload run concurrently under
+/// core::runExperiments and srp-serve. The first to miss leads the train
+/// run; the others block on a condition variable until its snapshot (or
+/// its error) lands, instead of interpreting the same input again.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SRP_CORE_PROFILECACHE_H
 #define SRP_CORE_PROFILECACHE_H
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -62,30 +67,47 @@ struct ProfileSnapshot {
   std::vector<AliasEntry> Alias;
 };
 
-/// Keyed snapshot store shared by all pipelines of one experiment run.
+/// Keyed snapshot store shared by all pipelines of one experiment run,
+/// single-flight: the first pipeline to miss on a key computes the
+/// snapshot while later ones for the same key block until it lands, so
+/// a train input is interpreted once however many configs race for it.
 class ProfileCache {
 public:
-  std::shared_ptr<const ProfileSnapshot>
-  lookup(const std::string &Key) const {
-    std::lock_guard<std::mutex> L(M);
-    auto It = Map.find(Key);
-    return It == Map.end() ? nullptr : It->second;
-  }
+  /// What acquire() hands a pipeline: the lead (compute the snapshot,
+  /// then call publish() or fail()), a snapshot to use, or the error the
+  /// leader's train run failed with.
+  struct Claim {
+    bool Lead = false;
+    std::shared_ptr<const ProfileSnapshot> Snapshot;
+    std::string Error;
+  };
 
-  /// First insert for a key wins; returns the snapshot that is in the
-  /// cache after the call (losing duplicates are discarded — they are
-  /// byte-identical by construction).
-  std::shared_ptr<const ProfileSnapshot>
-  insert(const std::string &Key, std::shared_ptr<const ProfileSnapshot> S) {
-    std::lock_guard<std::mutex> L(M);
-    auto [It, Inserted] = Map.emplace(Key, std::move(S));
-    (void)Inserted;
-    return It->second;
-  }
+  /// Looks \p Key up, waiting while another pipeline computes it.
+  /// Records profile.cache.{hits,misses,waits}.
+  Claim acquire(const std::string &Key);
+
+  /// The leader's snapshot for \p Key; wakes the waiters.
+  void publish(const std::string &Key,
+               std::shared_ptr<const ProfileSnapshot> S);
+
+  /// The leader's train run failed: its waiters get \p Error, and the key
+  /// is forgotten (a later pipeline leads a fresh attempt).
+  void fail(const std::string &Key, const std::string &Error);
 
 private:
-  mutable std::mutex M;
-  std::map<std::string, std::shared_ptr<const ProfileSnapshot>> Map;
+  /// One key's computation; Done once the leader published or failed.
+  struct Flight {
+    bool Done = false;
+    std::shared_ptr<const ProfileSnapshot> Snapshot;
+    std::string Error;
+  };
+
+  void finish(const std::string &Key,
+              std::shared_ptr<const ProfileSnapshot> S, std::string Error);
+
+  std::mutex M;
+  std::condition_variable Landed;
+  std::map<std::string, std::shared_ptr<Flight>> Map;
 };
 
 } // namespace srp::core

@@ -25,11 +25,13 @@ void AlatObserver::insert(const void *Owner, unsigned Reg, uint64_t Addr) {
 
 void AlatObserver::onAllocate(const void *Owner, unsigned Reg,
                               uint64_t Addr) {
+  note({0, Reg, Addr});
   ++Stats.Allocations;
   insert(Owner, Reg, Addr);
 }
 
 void AlatObserver::onStore(uint64_t Addr) {
+  note({1, Addr});
   for (auto It = Table.begin(); It != Table.end();) {
     if (It->second.Addr == Addr) {
       It = Table.erase(It);
@@ -43,6 +45,7 @@ void AlatObserver::onStore(uint64_t Addr) {
 bool AlatObserver::onCheck(const void *Owner, unsigned Reg, uint64_t Addr,
                            bool Clear, uint64_t RegValue,
                            uint64_t MemValue) {
+  note({2, Reg, Addr, Clear, RegValue, MemValue});
   Key K{Owner, Reg};
   auto It = Table.find(K);
   bool Hit = It != Table.end() && It->second.Addr == Addr;
@@ -68,10 +71,12 @@ bool AlatObserver::onCheck(const void *Owner, unsigned Reg, uint64_t Addr,
 }
 
 void AlatObserver::onInvala(const void *Owner, unsigned Reg) {
+  note({3, Reg});
   Table.erase(Key{Owner, Reg});
 }
 
 void AlatObserver::onReturn(const void *Owner) {
+  note({4});
   for (auto It = Table.begin(); It != Table.end();) {
     if (It->first.first == Owner)
       It = Table.erase(It);

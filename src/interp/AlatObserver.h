@@ -31,7 +31,10 @@
 #ifndef SRP_INTERP_ALATOBSERVER_H
 #define SRP_INTERP_ALATOBSERVER_H
 
+#include "support/Hash.h"
+
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <utility>
 
@@ -61,12 +64,17 @@ public:
     Table.clear();
     Stats = AlatObserverStats();
     Stamp = 0;
+    Digest = Fnv1a64Offset;
   }
 
   const AlatObserverStats &stats() const { return Stats; }
   unsigned numValidEntries() const {
     return static_cast<unsigned>(Table.size());
   }
+  /// FNV-1a digest of the event sequence: each event's kind, register,
+  /// address and check operands, in order (owners are opaque pointers
+  /// and left out). Equal digests mean the observer was driven alike.
+  uint64_t eventDigest() const { return Digest; }
 
   /// An advanced load (ld.a / ld.sa / st.a / recovery) allocates or
   /// refreshes the entry for (\p Owner, \p Reg) covering \p Addr.
@@ -98,11 +106,16 @@ private:
   using Key = std::pair<const void *, unsigned>;
 
   void insert(const void *Owner, unsigned Reg, uint64_t Addr);
+  void note(std::initializer_list<uint64_t> Event) {
+    for (uint64_t V : Event)
+      Digest = fnv1a64(V, Digest);
+  }
 
   unsigned Capacity;
   uint64_t Stamp = 0;
   std::map<Key, Entry> Table;
   AlatObserverStats Stats;
+  uint64_t Digest = Fnv1a64Offset;
 };
 
 } // namespace srp::interp

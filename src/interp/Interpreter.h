@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes a Module directly. The interpreter is (a) the correctness
-/// oracle the differential tests compare every compiled configuration
-/// against, and (b) the profiling vehicle: with profiles attached it
-/// records per-site alias targets (train run) and edge counts.
+/// Executes a Module. The interpreter is (a) the correctness oracle the
+/// differential tests compare every compiled configuration against, and
+/// (b) the profiling vehicle: with profiles attached it records per-site
+/// alias targets (train run) and edge counts. Each run decodes the module
+/// once into an op stream (interp/Decode.h) and executes that with a
+/// loop specialised for the attached hooks (DESIGN.md §10).
 ///
 /// The memory layout (globals / stack / heap bases) matches the simulator
 /// so that address-dependent behaviour cannot diverge between the oracle
@@ -124,7 +126,7 @@ const char *taintSinkName(TaintTrace::Sink S);
 std::vector<std::pair<const ir::Stmt *, unsigned>>
 specSiteIndex(const ir::Module &M);
 
-/// Direct executor for the IR.
+/// Executor for the IR (decode once per run, then dispatch).
 class Interpreter {
 public:
   explicit Interpreter(const ir::Module &M) : M(M) {}

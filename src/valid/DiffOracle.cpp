@@ -100,11 +100,6 @@ OracleReport runImpl(const FallibleBuilder &Build, const OracleOptions &Opts) {
   for (const interp::MemTrace::Access &A : BaseTrace.Accesses)
     TouchedSymbols.insert(A.Symbol);
 
-  // For a void main the simulator's exit value is whatever the return
-  // register last held — only compare exit values when main returns one.
-  const ir::Function *Main = Base.findFunction("main");
-  const bool MainReturns = Main && Main->HasReturnValue;
-
   // 2. Compile a second materialization through the module-mode pipeline
   // (profile → promote → verify → lower → allocate → simulate). Faults
   // stay off here; the fault schedules re-simulate the same binary below.
@@ -128,7 +123,7 @@ OracleReport runImpl(const FallibleBuilder &Build, const OracleOptions &Opts) {
   if (S.Result.Output != BaseRun.Output)
     return fail(MismatchKind::SimDiverged,
                 describeOutputDiff(BaseRun.Output, S.Result.Output));
-  if (MainReturns && S.Result.Sim.ExitValue != BaseRun.ExitValue)
+  if (S.Result.Sim.ExitValue != BaseRun.ExitValue)
     return fail(MismatchKind::SimDiverged,
                 formatString("exit value: expected %lld, got %lld",
                              static_cast<long long>(BaseRun.ExitValue),
@@ -258,7 +253,7 @@ OracleReport runImpl(const FallibleBuilder &Build, const OracleOptions &Opts) {
       return fail(MismatchKind::SimDiverged,
                   describeOutputDiff(BaseRun.Output, Faulted.Output),
                   Plan.describe());
-    if (MainReturns && Faulted.ExitValue != BaseRun.ExitValue)
+    if (Faulted.ExitValue != BaseRun.ExitValue)
       return fail(MismatchKind::SimDiverged,
                   formatString("exit value under faults: expected %lld, "
                                "got %lld",

@@ -9,6 +9,8 @@
 
 #include "core/Experiment.h"
 
+#include "support/Stats.h"
+
 #include "ir/IRBuilder.h"
 #include "workloads/LoopHelper.h"
 
@@ -151,6 +153,48 @@ TEST(ExperimentTest, MoreThreadsThanExperiments) {
   std::vector<PipelineResult> R = runExperiments(Exps, Opts);
   ASSERT_EQ(R.size(), 1u);
   EXPECT_TRUE(R[0].Ok) << R[0].Error;
+}
+
+/// Single-flight ProfileCache: four workers racing over the three configs
+/// of one workload interpret its train input exactly once — the others
+/// wait for (or hit) the one snapshot — and still match a serial run.
+TEST(ExperimentTest, TrainRunIsInterpretedOnce) {
+  Workload W = specKernel();
+  std::vector<Experiment> Exps = grid(W);
+  ExperimentOptions Serial;
+  Serial.Threads = 1;
+  std::vector<PipelineResult> SerialR = runExperiments(Exps, Serial);
+
+  StatsRegistry &Stats = StatsRegistry::get();
+  Stats.clear();
+  ExperimentOptions Parallel;
+  Parallel.Threads = 4;
+  std::vector<PipelineResult> ParallelR = runExperiments(Exps, Parallel);
+  EXPECT_EQ(Stats.value("profile.cache.misses"), 1u);
+  EXPECT_EQ(Stats.value("profile.cache.hits") +
+                Stats.value("profile.cache.waits"),
+            2u);
+  for (size_t I = 0; I < Exps.size(); ++I) {
+    EXPECT_TRUE(ParallelR[I].Ok) << ParallelR[I].Error;
+    expectIdentical(SerialR[I], ParallelR[I]);
+  }
+}
+
+/// A train run that fails (here: starved of fuel) releases every config
+/// waiting on it with the same error, and nothing hangs.
+TEST(ExperimentTest, FailedTrainRunReleasesWaiters) {
+  Workload W = specKernel();
+  std::vector<Experiment> Exps = grid(W);
+  for (Experiment &E : Exps)
+    E.Config.InterpFuel = 100;
+  ExperimentOptions Parallel;
+  Parallel.Threads = 4;
+  std::vector<PipelineResult> R = runExperiments(Exps, Parallel);
+  ASSERT_EQ(R.size(), Exps.size());
+  for (const PipelineResult &PR : R) {
+    EXPECT_FALSE(PR.Ok);
+    EXPECT_EQ(PR.Error, "train run failed: fuel exhausted");
+  }
 }
 
 } // namespace

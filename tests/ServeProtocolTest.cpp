@@ -347,4 +347,21 @@ TEST(ServeProtocol, InlineProgramRuns) {
       << AlsoWarm;
 }
 
+// A void main has no exit value: the response reports 0 even though the
+// return register still holds what the last callee returned.
+TEST(ServeProtocol, VoidMainExitValueIsZero) {
+  const char *Program = "func helper() -> int {\\nentry:\\n  ret 41\\n}\\n\\n"
+                        "func main() {\\nentry:\\n  t0 = call helper()\\n"
+                        "  print t0\\n  ret\\n}\\n";
+  ServerCore Core(testOptions());
+  std::string Response = Core.handle(
+      std::string("{\"id\":\"v\",\"op\":\"run\",\"program\":\"") + Program +
+      "\"}");
+  EXPECT_EQ(statusOf(Response), 0) << Response;
+  EXPECT_NE(Response.find("\"output\":[\"41\"]"), std::string::npos)
+      << Response;
+  EXPECT_NE(Response.find("\"exit_value\":0,"), std::string::npos)
+      << Response;
+}
+
 } // namespace
