@@ -11,9 +11,11 @@
 
 #include "arch/Decoded.h"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <map>
+#include <string_view>
 #include <unordered_map>
 
 using namespace srp;
@@ -352,4 +354,113 @@ DecodedModule::DecodedModule(const MModule &M) {
 
   Ops = A.copyArray(Stream.data(), Stream.size());
   NumOps = static_cast<uint32_t>(Stream.size());
+}
+
+bool srp::arch::usesAlat(const DecodedModule &DM) {
+  for (uint32_t I = 0; I < DM.numOps(); ++I)
+    switch (static_cast<DOpKind>(DM.ops()[I].Kind)) {
+    case DOpKind::LdA:
+    case DOpKind::LdCClr:
+    case DOpKind::LdCNc:
+    case DOpKind::StA:
+    case DOpKind::InvalaE:
+    case DOpKind::ChkA:
+      return true;
+    default:
+      break;
+    }
+  return false;
+}
+
+// A new SimConfig or DecodedOp field must be written into the key below;
+// these asserts fail the build until it is (and the sizes are updated).
+static_assert(sizeof(DecodedOp) == 32, "new DecodedOp field: add it to "
+                                       "simulationKey");
+static_assert(sizeof(AlatConfig) == 12, "new AlatConfig field: add it to "
+                                        "simulationKey");
+static_assert(sizeof(FaultPlan) == 32, "new FaultPlan field: add it to "
+                                       "simulationKey");
+static_assert(sizeof(MemoryConfig) == 64, "new MemoryConfig field: add it "
+                                          "to simulationKey");
+static_assert(sizeof(SimConfig) == 168, "new SimConfig field: add it to "
+                                        "simulationKey");
+
+std::string srp::arch::simulationKey(const DecodedModule &DM,
+                                     const SimConfig &Config) {
+  // Every field as a LEB128 varint (signed ones zigzagged, doubles as
+  // their bits), in a fixed order with counts before the variable-length
+  // parts: a prefix-free encoding, so equal keys mean equal inputs. Most
+  // op fields are small register numbers or the DummyReg pad, so an op
+  // takes about 15 bytes instead of its 32.
+  std::string K;
+  K.reserve(static_cast<size_t>(DM.numOps()) * 16 + 256);
+  auto Put = [&K](uint64_t V) {
+    do {
+      K.push_back(static_cast<char>((V & 0x7f) | (V > 0x7f ? 0x80 : 0)));
+      V >>= 7;
+    } while (V);
+  };
+  auto PutSigned = [&Put](int64_t V) {
+    Put((static_cast<uint64_t>(V) << 1) ^ static_cast<uint64_t>(V >> 63));
+  };
+  auto PutDouble = [&Put](double V) { Put(std::bit_cast<uint64_t>(V)); };
+  const bool Alat = usesAlat(DM);
+  Put(DM.numOps());
+  Put(DM.functions().size());
+  for (uint32_t I = 0; I < DM.numOps(); ++I) {
+    const DecodedOp &Op = DM.ops()[I];
+    for (uint64_t V : {uint64_t(Op.Kind), uint64_t(Op.Fp), uint64_t(Op.Rd),
+                       uint64_t(Op.Rs1), uint64_t(Op.Rs2), uint64_t(Op.Rs3),
+                       uint64_t(Op.S0), uint64_t(Op.S1), uint64_t(Op.S2)})
+      Put(V);
+    PutSigned(Op.Imm);
+    Put(Op.Target);
+    Put(Op.Aux);
+  }
+  Put(DM.mainIndex());
+  for (const DecodedFunction &F : DM.functions()) {
+    Put(F.EntryPC);
+    Put(F.StackedRegsUsed);
+    Put(F.IntHigh);
+    Put(F.FpHigh);
+    Put(F.ReturnsValue);
+    const std::string_view Name(F.Name);
+    Put(Name.size());
+    K.append(Name);
+  }
+  Put(Alat);
+  if (Alat) {
+    Put(Config.Alat.Entries);
+    Put(Config.Alat.Ways);
+    Put(Config.Alat.PartialTagBits);
+    Put(Config.Faults.Seed);
+    PutDouble(Config.Faults.ForcedMissProb);
+    PutDouble(Config.Faults.SpuriousInvalidateProb);
+    Put(Config.Faults.CapacityLimit);
+    Put(Config.UseStA);
+  }
+  const MemoryConfig &Mem = Config.Memory;
+  Put(Mem.L1Latency);
+  Put(Mem.L2Latency);
+  Put(Mem.L3Latency);
+  Put(Mem.MemLatency);
+  Put(Mem.L1Size);
+  Put(Mem.L1Ways);
+  Put(Mem.L2Size);
+  Put(Mem.L2Ways);
+  Put(Mem.L3Size);
+  Put(Mem.L3Ways);
+  Put(Mem.LineBytes);
+  Put(Config.IssueWidth);
+  Put(Config.TakenBranchPenalty);
+  Put(Config.CallPenalty);
+  Put(Config.ChkMissPenalty);
+  Put(Config.MulLatency);
+  Put(Config.DivLatency);
+  Put(Config.FpLatency);
+  Put(Config.FpDivLatency);
+  Put(Config.RsePerRegCycles);
+  Put(Config.MaxInstructions);
+  K.shrink_to_fit(); // memo entries keep the key
+  return K;
 }

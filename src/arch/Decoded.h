@@ -71,6 +71,7 @@
 #include "support/Arena.h"
 
 #include <cstdint>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -174,6 +175,24 @@ private:
   std::vector<DecodedFunction> Funcs;
   uint32_t MainIdx = NoFunction;
 };
+
+/// True if the stream holds an op that reads or writes the ALAT (`ld.a`,
+/// `ld.c`, `st.a`, `invala.e`, `chk.a`; fused pairs never include one).
+/// Without such an op the table stays empty for the whole run: the fault
+/// hooks fire only on those ops, and a store's notify returns early on
+/// an empty table, so the ALAT geometry, the fault plan and the st.a
+/// switch cannot change the result.
+bool usesAlat(const DecodedModule &DM);
+
+/// The exact identity of `simulate(DM, Config)` as a byte string: every
+/// op field, the main index, every DecodedFunction field the executor
+/// reads (name included, for trap text), then every SimConfig field,
+/// written field by field in a prefix-free encoding. Two keys are equal
+/// only if the inputs are, so a memo keyed by it cannot collide. An
+/// ALAT-free stream
+/// (usesAlat) leaves the ALAT geometry, the fault plan and UseStA out,
+/// so runs that differ only there share one key.
+std::string simulationKey(const DecodedModule &DM, const SimConfig &Config);
 
 /// Runs the decoded stream on the timing model. Identical counters,
 /// output, exit value, and trap messages to simulateLegacy() on the

@@ -58,9 +58,9 @@ struct PipelineState {
   const Workload *W = nullptr;
   ir::Module *External = nullptr;
   PipelineConfig Config;
-  /// Optional, workload mode: memoized train-run profiles shared across
-  /// the pipelines of one experiment grid (see ProfileCache.h). Null
-  /// runs the train interpretation unconditionally.
+  /// Optional memo shared across the pipelines of one experiment grid
+  /// (see ProfileCache.h): train-run profiles (workload mode) and ref
+  /// simulations (both modes). Null runs both unconditionally.
   ProfileCache *ProfCache = nullptr;
 
   // Intermediate products, owned here. In workload mode RefModule is the

@@ -109,16 +109,16 @@ public:
     // configs of one workload share a memoized id-space snapshot of it
     // (ProfileCache.h) when the driver provides a cache.
     std::shared_ptr<const ProfileSnapshot> Snap;
-    std::string Key;
+    ProfileCache::Claim Claim;
     if (S.ProfCache) {
-      Key = std::string(S.W->Name) + "#" + std::to_string(S.W->TrainScale) +
-            "#" + std::to_string(S.Config.InterpFuel);
-      ProfileCache::Claim C = S.ProfCache->acquire(Key);
-      if (!C.Lead && !C.Snapshot) {
-        S.Result.Error = "train run failed: " + C.Error;
+      Claim = S.ProfCache->acquire(
+          std::string(S.W->Name) + "#" + std::to_string(S.W->TrainScale) +
+          "#" + std::to_string(S.Config.InterpFuel));
+      if (!Claim.Lead && !Claim.Value) {
+        S.Result.Error = "train run failed: " + Claim.Error;
         return false;
       }
-      Snap = std::move(C.Snapshot);
+      Snap = std::move(Claim.Value);
     }
     if (!Snap) {
       // This pipeline leads: every path below publishes or fails the key.
@@ -131,7 +131,7 @@ public:
         interp::RunResult R = Interp.run(S.Config.InterpFuel);
         if (!R.Ok) {
           if (S.ProfCache)
-            S.ProfCache->fail(Key, R.Error);
+            S.ProfCache->fail(Claim, R.Error);
           S.Result.Error = "train run failed: " + R.Error;
           return false;
         }
@@ -162,7 +162,7 @@ public:
       }
       Snap = std::move(NewSnap);
       if (S.ProfCache)
-        S.ProfCache->publish(Key, Snap);
+        S.ProfCache->publish(Claim, Snap);
     }
     // Rebind the snapshot onto the ref module (same function index, same
     // block index, same statement position — exactly what the previous
@@ -303,6 +303,11 @@ public:
     return "lower IR to ITA machine code";
   }
   bool run(PipelineState &S) override {
+    std::vector<std::string> Errors = ir::verifyLowerable(S.module());
+    if (!Errors.empty()) {
+      S.Result.Error = "lower: unsupported speculation shape: " + Errors[0];
+      return false;
+    }
     S.MM = codegen::lowerModule(S.module());
     return true;
   }
@@ -344,7 +349,11 @@ public:
     // runs of the same binary share the stream (see PipelineState).
     if (!S.Decoded)
       S.Decoded = std::make_unique<arch::DecodedModule>(*S.MM);
-    S.Result.Sim = arch::simulate(*S.Decoded, S.Config.Sim);
+    // A grid's strategies often compile a workload to the same binary;
+    // the grid's cache then simulates it once (ProfileCache.h).
+    S.Result.Sim = S.ProfCache
+                       ? S.ProfCache->simulate(*S.Decoded, S.Config.Sim)
+                       : arch::simulate(*S.Decoded, S.Config.Sim);
     if (!S.Result.Sim.Ok) {
       S.Result.Error = "simulation failed: " + S.Result.Sim.Error;
       return false;

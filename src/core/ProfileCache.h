@@ -23,16 +23,19 @@
 /// run; the others block on a condition variable until its snapshot (or
 /// its error) lands, instead of interpreting the same input again.
 ///
+/// The same cache memoizes the ref simulation one layer down (see
+/// ProfileCache::simulate).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SRP_CORE_PROFILECACHE_H
 #define SRP_CORE_PROFILECACHE_H
 
-#include <condition_variable>
+#include "arch/Decoded.h"
+#include "core/SingleFlight.h"
+
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -67,47 +70,54 @@ struct ProfileSnapshot {
   std::vector<AliasEntry> Alias;
 };
 
-/// Keyed snapshot store shared by all pipelines of one experiment run,
-/// single-flight: the first pipeline to miss on a key computes the
-/// snapshot while later ones for the same key block until it lands, so
-/// a train input is interpreted once however many configs race for it.
+/// The per-grid memo shared by all pipelines of one experiment run (and
+/// by the requests of one srp-serve shard). It holds two single-flight
+/// maps (SingleFlight.h):
+///  * train-run profile snapshots, keyed by (workload, train scale,
+///    fuel): the first pipeline to miss interprets the train input while
+///    later ones for the same key block until its snapshot lands;
+///  * ref simulations, keyed by arch::simulationKey — an exact encoding
+///    of the decoded binary and the machine config. Conservative and
+///    baseline promotion often compile a workload to the same binary, so
+///    the grid simulates each distinct (binary, config) once. A
+///    simulation is a pure function of its key (traps included: the
+///    instruction budget is part of it), so failed runs are memoized like
+///    successful ones.
+/// Each map keeps at most MaxEntries finished entries, dropping the
+/// oldest, so a long-lived serve shard does not grow without limit.
 class ProfileCache {
 public:
-  /// What acquire() hands a pipeline: the lead (compute the snapshot,
-  /// then call publish() or fail()), a snapshot to use, or the error the
-  /// leader's train run failed with.
-  struct Claim {
-    bool Lead = false;
-    std::shared_ptr<const ProfileSnapshot> Snapshot;
-    std::string Error;
-  };
+  using Claim = SingleFlight<ProfileSnapshot>::Claim;
 
-  /// Looks \p Key up, waiting while another pipeline computes it.
-  /// Records profile.cache.{hits,misses,waits}.
-  Claim acquire(const std::string &Key);
+  /// A grid holds at most 10 profiles and 30 simulations.
+  static constexpr size_t MaxEntries = 64;
 
-  /// The leader's snapshot for \p Key; wakes the waiters.
-  void publish(const std::string &Key,
-               std::shared_ptr<const ProfileSnapshot> S);
+  /// Looks the train-profile \p Key up, waiting while another pipeline
+  /// computes it. Records profile.cache.{hits,misses,waits}.
+  Claim acquire(const std::string &Key) { return Profiles.acquire(Key); }
+
+  /// The leader's snapshot; wakes the waiters.
+  void publish(Claim &Lead, std::shared_ptr<const ProfileSnapshot> S) {
+    Profiles.publish(Lead, std::move(S));
+  }
 
   /// The leader's train run failed: its waiters get \p Error, and the key
   /// is forgotten (a later pipeline leads a fresh attempt).
-  void fail(const std::string &Key, const std::string &Error);
+  void fail(Claim &Lead, const std::string &Error) {
+    Profiles.fail(Lead, Error);
+  }
+
+  /// arch::simulate(\p DM, \p Config), computed once per distinct key.
+  /// Records sim.cache.{hits,misses,waits}.
+  arch::SimResult simulate(const arch::DecodedModule &DM,
+                           const arch::SimConfig &Config);
+
+  /// Simulations currently held (tests of the bound).
+  size_t numSimulations() const { return Sims.size(); }
 
 private:
-  /// One key's computation; Done once the leader published or failed.
-  struct Flight {
-    bool Done = false;
-    std::shared_ptr<const ProfileSnapshot> Snapshot;
-    std::string Error;
-  };
-
-  void finish(const std::string &Key,
-              std::shared_ptr<const ProfileSnapshot> S, std::string Error);
-
-  std::mutex M;
-  std::condition_variable Landed;
-  std::map<std::string, std::shared_ptr<Flight>> Map;
+  SingleFlight<ProfileSnapshot> Profiles{"profile.cache", MaxEntries};
+  SingleFlight<arch::SimResult> Sims{"sim.cache", MaxEntries};
 };
 
 } // namespace srp::core

@@ -511,6 +511,8 @@ std::string ServerCore::handleParsed(const std::string &Line) {
     if (!ir::parseModule(Text, M, Error))
       return Fail(2, "program parse error: " + Error);
     std::vector<std::string> Errors = ir::verifyModule(M);
+    if (Errors.empty())
+      Errors = ir::verifyLowerable(M);
     if (!Errors.empty())
       return Fail(2, "program verify error: " + Errors.front());
     Req.IsProgram = true;
@@ -583,11 +585,12 @@ ServerCore::shardFor(const std::string &ShardKey) {
 PipelineResult ServerCore::executeRun(const RunRequest &Req,
                                       std::string &Error, int &ErrorStatus) {
   // Borrow the shard's analysis cache when it is free (see Serve.h).
-  // Named-workload requests shard by workload name so every config of a
-  // workload shares one shard's ProfileCache (the train profile is
-  // config-independent); inline programs shard by canonical key.
+  // Requests shard by program — workload name, or canonical text for an
+  // inline program — so every config of one program shares one shard's
+  // ProfileCache: the train profile is config-independent, and configs
+  // that compile to the same binary share its simulation.
   PipelineShard &Shard =
-      shardFor(Req.IsProgram ? Req.CanonicalKey : Req.WorkloadName);
+      shardFor(Req.IsProgram ? Req.CanonicalProgram : Req.WorkloadName);
   std::unique_lock<std::mutex> ShardLock(Shard.M, std::try_to_lock);
   ssa::AnalysisCache *AC =
       ShardLock.owns_lock() ? &Shard.Analyses : nullptr;
@@ -648,6 +651,7 @@ PipelineResult ServerCore::executeRun(const RunRequest &Req,
   PipelineState S;
   S.External = &M;
   S.Config = Req.Config;
+  S.ProfCache = &Shard.Profiles; // module mode: the simulation memo only
   S.SharedAnalyses = AC;
   PassManager PM;
   addStandardPasses(PM);

@@ -141,14 +141,17 @@ private:
   std::atomic<bool> Shutdown{false};
 
   /// Cross-request compilation caches, sharded (named-workload requests
-  /// by workload name, inline programs by canonical key) so concurrent
-  /// cache-miss requests contend on different shard mutexes. Each shard
-  /// carries:
+  /// by workload name, inline programs by canonical program text) so
+  /// concurrent cache-miss requests contend on different shard mutexes.
+  /// Each shard carries:
   ///  * a ProfileCache — train-run profile snapshots are a pure
   ///    function of (workload, scale, fuel), so repeat named-workload
   ///    requests skip the train interpretation entirely even when the
   ///    result cache misses (different promotion config, same
-  ///    workload);
+  ///    workload); and simulations are a pure function of (binary,
+  ///    machine config), so configs of one program that compile to the
+  ///    same binary (often conservative and baseline) simulate once.
+  ///    Both maps are bounded (ProfileCache::MaxEntries);
   ///  * an ssa::AnalysisCache — not thread-safe, so a request borrows
   ///    it under the shard mutex (try-lock; a busy shard falls back to
   ///    the request-private cache rather than serializing). Entries are

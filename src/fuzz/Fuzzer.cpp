@@ -6,6 +6,8 @@
 #include "fuzz/Coverage.h"
 #include "fuzz/Minimizer.h"
 #include "fuzz/RandomProgram.h"
+#include "interp/Interpreter.h"
+#include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "support/RNG.h"
 #include "support/StringUtils.h"
@@ -138,6 +140,40 @@ valid::OracleReport srp::fuzz::replayTriple(uint64_t ShapeSeed,
       optionsFor(ConfigIndex, FaultSeed, FaultPlansPerProgram));
 }
 
+std::string srp::fuzz::minimizeFinding(const std::string &Text,
+                                       unsigned ConfigIndex,
+                                       uint64_t FaultSeed,
+                                       unsigned FaultPlansPerProgram,
+                                       valid::MismatchKind Kind) {
+  valid::OracleOptions OOpts =
+      optionsFor(ConfigIndex, FaultSeed, FaultPlansPerProgram);
+  return minimizeModuleText(Text, [&OOpts, Kind](const std::string &Cand) {
+    // Generated programs define every temp before use and dereference
+    // only pointers into their objects. A candidate that breaks either
+    // (by deleting a definition or a pointer initialisation) fails on
+    // the interpreter's zero temps vs stale registers, or on unrelated
+    // null pointers the alias analysis rightly ignores, not on the
+    // original fault; keep the minimizer off it.
+    ir::Module M;
+    std::string ParseError;
+    if (!ir::parseModule(Cand, M, ParseError))
+      return false;
+    for (unsigned I = 0; I < M.numFunctions(); ++I)
+      M.function(I)->recomputeCFG();
+    if (readsUndefinedTemp(M))
+      return false;
+    interp::MemTrace Trace;
+    interp::Interpreter Interp(M);
+    Interp.setMemTrace(&Trace);
+    Interp.run(OOpts.Config.InterpFuel);
+    for (const interp::MemTrace::Access &A : Trace.Accesses)
+      if (A.Symbol == interp::AliasProfile::UnknownTarget)
+        return false;
+    valid::OracleReport RR = valid::runDiffOracleOnText(Cand, OOpts);
+    return !RR.Ok && RR.Kind == Kind;
+  });
+}
+
 bool srp::fuzz::parseReplayArg(const std::string &Arg, uint64_t &ShapeSeed,
                                uint64_t &ProgSeed, unsigned &ConfigIndex,
                                uint64_t &FaultSeed) {
@@ -247,16 +283,10 @@ FuzzResult srp::fuzz::runFuzzer(const FuzzOptions &Opts) {
           "FINDING %s (%s) replay=%s", valid::mismatchKindName(F.Kind),
           F.Detail.c_str(), F.replayArg().c_str()));
 
-      if (Opts.Minimize) {
-        valid::OracleOptions OOpts = optionsFor(J.ConfigIndex, J.FaultSeed,
-                                                Opts.FaultPlansPerProgram);
-        valid::MismatchKind Kind = F.Kind;
-        F.ModuleText = minimizeModuleText(
-            F.ModuleText, [&OOpts, Kind](const std::string &Text) {
-              valid::OracleReport RR = valid::runDiffOracleOnText(Text, OOpts);
-              return !RR.Ok && RR.Kind == Kind;
-            });
-      }
+      if (Opts.Minimize)
+        F.ModuleText = minimizeFinding(F.ModuleText, J.ConfigIndex,
+                                       J.FaultSeed, Opts.FaultPlansPerProgram,
+                                       F.Kind);
       F.Statements = countStatements(F.ModuleText);
 
       if (!Opts.ReproDir.empty()) {

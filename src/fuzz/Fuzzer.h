@@ -105,6 +105,15 @@ valid::OracleReport replayTriple(uint64_t ShapeSeed, uint64_t ProgSeed,
                                  unsigned FaultPlansPerProgram = 2,
                                  bool Taint = false);
 
+/// Delta-debugs \p Text (a program failing the oracle with \p Kind under
+/// the triple's config and fault seed) to a small program failing the
+/// same way. Candidates that read a temp not defined on every path are
+/// rejected (readsUndefinedTemp), so the repro keeps the original fault.
+std::string minimizeFinding(const std::string &Text, unsigned ConfigIndex,
+                            uint64_t FaultSeed,
+                            unsigned FaultPlansPerProgram,
+                            valid::MismatchKind Kind);
+
 /// Parses "SHAPE:PROG:CFG:FAULT" (decimal or 0x hex). Returns false on
 /// malformed input.
 bool parseReplayArg(const std::string &Arg, uint64_t &ShapeSeed,

@@ -2,6 +2,8 @@
 
 #include "fuzz/Minimizer.h"
 
+#include "ir/CFG.h"
+
 #include <string_view>
 #include <vector>
 
@@ -164,4 +166,68 @@ unsigned srp::fuzz::countStatements(const std::string &Text) {
   for (const std::string &L : splitLines(Text))
     N += isStatementLine(L) ? 1 : 0;
   return N;
+}
+
+bool srp::fuzz::readsUndefinedTemp(const ir::Module &M) {
+  for (unsigned FI = 0; FI < M.numFunctions(); ++FI) {
+    const ir::Function &F = *M.function(FI);
+    const unsigned NB = F.numBlocks(), NT = F.numTemps();
+    if (NB == 0)
+      continue;
+    // In[B][T]: T is defined on every path from entry to B's top. Start
+    // at "all defined" (the meet's identity) except at the entry, and
+    // iterate to the greatest fixpoint.
+    std::vector<std::vector<bool>> In(NB, std::vector<bool>(NT, true));
+    In[F.entry()->getId()].assign(NT, false);
+    auto Defines = [](const ir::Stmt &S, std::vector<bool> &Defined) {
+      if (S.definesTemp() && S.Dst < Defined.size())
+        Defined[S.Dst] = true;
+      if (S.AddrDst != ir::NoTemp && S.AddrDst < Defined.size())
+        Defined[S.AddrDst] = true;
+    };
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      for (unsigned BI = 0; BI < NB; ++BI) {
+        const ir::BasicBlock &B = *F.block(BI);
+        std::vector<bool> Out = In[BI];
+        for (size_t SI = 0; SI < B.size(); ++SI)
+          Defines(*B.stmt(SI), Out);
+        for (const ir::BasicBlock *Succ : B.succs()) {
+          std::vector<bool> &SuccIn = In[Succ->getId()];
+          for (unsigned T = 0; T < NT; ++T)
+            if (SuccIn[T] && !Out[T]) {
+              SuccIn[T] = false;
+              Changed = true;
+            }
+        }
+      }
+    }
+    std::vector<unsigned> Used;
+    auto Undefined = [&](const std::vector<bool> &Defined) {
+      for (unsigned T : Used)
+        if (T >= NT || !Defined[T])
+          return true;
+      return false;
+    };
+    for (unsigned BI = 0; BI < NB; ++BI) {
+      const ir::BasicBlock &B = *F.block(BI);
+      std::vector<bool> Defined = In[BI];
+      for (size_t SI = 0; SI < B.size(); ++SI) {
+        const ir::Stmt &S = *B.stmt(SI);
+        Used.clear();
+        S.collectUsedTemps(Used);
+        if (Undefined(Defined))
+          return true;
+        Defines(S, Defined);
+      }
+      const ir::Terminator &T = B.term();
+      Used.clear();
+      for (const ir::Operand *Op : {&T.Cond, &T.RetVal})
+        if (Op->isTemp())
+          Used.push_back(Op->getTemp());
+      if (Undefined(Defined))
+        return true;
+    }
+  }
+  return false;
 }

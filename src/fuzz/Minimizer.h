@@ -22,6 +22,10 @@
 #include <functional>
 #include <string>
 
+namespace srp::ir {
+class Module;
+} // namespace srp::ir
+
 namespace srp::fuzz {
 
 /// Returns true when \p ModuleText still exhibits the failure being
@@ -40,6 +44,15 @@ struct MinimizeOptions {
 std::string minimizeModuleText(const std::string &Text,
                                const FailPredicate &StillFails,
                                const MinimizeOptions &Opts = {});
+
+/// True if some function of the parsed \p M reads a temp that is not
+/// defined on every path to the read (a must-defined dataflow over the
+/// CFG; unreachable blocks are ignored). The interpreter reads such a
+/// temp as zero while compiled code reads a stale register, so a
+/// minimization candidate with one fails the oracle for that reason
+/// alone; fuzz predicates reject them so repros keep the original
+/// fault. \p M's CFG must be current (Function::recomputeCFG).
+bool readsUndefinedTemp(const ir::Module &M);
 
 /// Number of statement lines (loads, stores, assigns, calls, prints, ...)
 /// in \p Text — structural lines (global/func/local/labels/terminators/

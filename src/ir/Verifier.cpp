@@ -27,14 +27,25 @@ public:
       verifyBlock(*F.block(I));
   }
 
+  void runLowerable() {
+    for (unsigned I = 0, E = F.numBlocks(); I != E; ++I)
+      for (size_t SI = 0, SE = F.block(I)->size(); SI != SE; ++SI)
+        verifyLowerableStmt(*F.block(I)->stmt(SI));
+  }
+
 private:
   void error(std::string Message) {
     Errors.push_back(formatString("%s: %s", F.getName().c_str(),
                                   Message.c_str()));
   }
 
+  /// Statements parsed from a .sir file name their source line.
   void stmtError(const Stmt &S, const char *Message) {
-    error(formatString("'%s': %s", stmtToString(S).c_str(), Message));
+    if (S.Line)
+      error(formatString("line %u: '%s': %s", S.Line,
+                         stmtToString(S).c_str(), Message));
+    else
+      error(formatString("'%s': %s", stmtToString(S).c_str(), Message));
   }
 
   bool checkTemp(const Stmt &S, unsigned Id, TypeKind Expected) {
@@ -155,6 +166,40 @@ private:
     }
   }
 
+  /// The speculation shapes the code generator lowers: a chk.a check
+  /// re-reads the pointer its advanced load saved, so it is a depth-1
+  /// load with @addr; an indirect ld.c also takes its address from @addr
+  /// instead of re-walking the chain; st.a names the register whose
+  /// entry it allocates.
+  void verifyLowerableStmt(const Stmt &S) {
+    if (S.isStore()) {
+      if (S.StA && S.AlatDst == NoTemp)
+        stmtError(S, "st.a without the register it allocates (alat->)");
+      else if (S.StA && S.AlatDst >= F.numTemps())
+        stmtError(S, "temp id out of range");
+      return;
+    }
+    if (!S.isLoad())
+      return;
+    if (S.AddrSrc != NoTemp)
+      checkTemp(S, S.AddrSrc, TypeKind::Int);
+    switch (S.Flag) {
+    case SpecFlag::ChkA:
+    case SpecFlag::ChkAnc:
+      if (S.Ref.Depth != 1 || S.AddrSrc == NoTemp)
+        stmtError(S, "chk.a check must be a depth-1 load with a saved "
+                     "pointer (@addr)");
+      break;
+    case SpecFlag::LdC:
+    case SpecFlag::LdCnc:
+      if (S.Ref.isIndirect() && S.AddrSrc == NoTemp)
+        stmtError(S, "indirect ld.c check without a saved pointer (@addr)");
+      break;
+    default:
+      break;
+    }
+  }
+
   void verifyAssign(const Stmt &S) {
     switch (S.Op) {
     case Opcode::Copy: {
@@ -269,6 +314,13 @@ std::vector<std::string> srp::ir::verifyModule(const Module &M) {
     verifyFunction(*M.function(I), Errors);
   if (!M.findFunction("main"))
     Errors.push_back("module has no 'main' function");
+  return Errors;
+}
+
+std::vector<std::string> srp::ir::verifyLowerable(const Module &M) {
+  std::vector<std::string> Errors;
+  for (unsigned I = 0, E = M.numFunctions(); I != E; ++I)
+    FunctionVerifier(*M.function(I), Errors).runLowerable();
   return Errors;
 }
 

@@ -28,8 +28,17 @@ class Function;
 /// present, dereference depths go through scalar integer symbols, and
 /// direct references stay within declared array extents for constant
 /// indices; call argument counts match the callee's formals; alloc
-/// statements carry a heap-site symbol.
+/// statements carry a heap-site symbol. Statement diagnostics of parsed
+/// programs carry "line N".
 std::vector<std::string> verifyModule(const Module &M);
+
+/// The speculation shapes code generation lowers, on top of
+/// verifyModule: a chk.a check is a depth-1 load with a saved pointer
+/// (@addr), an indirect ld.c has a saved pointer, and st.a names the
+/// register it allocates (alat->). The interpreter runs the other shapes
+/// (tests/golden/spec_paths.sir does), so this is a separate gate for
+/// tools that compile a hand-written module; empty means lowerable.
+std::vector<std::string> verifyLowerable(const Module &M);
 
 /// Verifies one function, appending diagnostics to \p Errors.
 void verifyFunction(const Function &F, std::vector<std::string> &Errors);

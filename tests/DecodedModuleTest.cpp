@@ -8,7 +8,10 @@
 // are most at risk). These tests pin that contract over the checked-in
 // fuzz repro corpus and a wide sweep of random programs, and pin the
 // decode itself as a deterministic function of the MModule (two decodes
-// of one module memcmp equal).
+// of one module memcmp equal). They also prove the rule behind
+// arch::simulationKey's ALAT-free case: without an ALAT op in the
+// stream, the ALAT geometry, the fault plan and st.a cannot change a
+// simulation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,10 +21,12 @@
 #include "alias/AliasAnalysis.h"
 #include "codegen/Lowering.h"
 #include "codegen/RegAlloc.h"
+#include "core/Pass.h"
 #include "fuzz/RandomProgram.h"
 #include "ir/CFG.h"
 #include "ir/Parser.h"
 #include "pre/Promoter.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -185,6 +190,121 @@ TEST(DecodedModule, RandomProgramParity) {
     else
       expectParity(*MM, SimConfig(), "default config");
   }
+}
+
+std::string formatConfig(const SimConfig &C) {
+  return "alat " + std::to_string(C.Alat.Entries) + "x" +
+         std::to_string(C.Alat.Ways) + ", faults " + C.Faults.describe();
+}
+
+/// Every field of two simulations, byte for byte.
+void expectSameRun(const SimResult &A, const SimResult &B) {
+  EXPECT_EQ(A.Ok, B.Ok);
+  EXPECT_EQ(A.Error, B.Error);
+  EXPECT_EQ(A.Output, B.Output);
+  EXPECT_EQ(A.ExitValue, B.ExitValue);
+  EXPECT_EQ(0, std::memcmp(&A.Counters, &B.Counters, sizeof(A.Counters)));
+  EXPECT_EQ(0, std::memcmp(&A.Alat, &B.Alat, sizeof(A.Alat)));
+}
+
+/// The ALAT-free key rule: a stream with no ALAT op simulates
+/// identically under every ALAT geometry, fault plan and st.a setting,
+/// and simulationKey gives all of them one key. Returns the number of
+/// configs checked.
+unsigned expectAlatBlind(const DecodedModule &DM) {
+  EXPECT_FALSE(usesAlat(DM));
+  const SimResult Base = simulate(DM, SimConfig());
+  const std::string BaseKey = simulationKey(DM, SimConfig());
+  unsigned Checked = 0;
+  for (unsigned Entries : {8u, 16u, 32u, 64u})
+    for (unsigned Ways : {1u, 2u})
+      for (uint64_t FaultSeed : {3u, 7u, 11u}) {
+        SimConfig C;
+        C.Alat.Entries = Entries;
+        C.Alat.Ways = Ways;
+        C.Faults = FaultPlan::fromSeed(FaultSeed);
+        C.UseStA = FaultSeed != 7;
+        SCOPED_TRACE(formatConfig(C));
+        expectSameRun(Base, simulate(DM, C));
+        EXPECT_EQ(BaseKey, simulationKey(DM, C));
+        ++Checked;
+      }
+  return Checked;
+}
+
+/// The grid's conservative and baseline binaries (no ALAT ops by
+/// construction), every repro compiled unpromoted, and 200 unpromoted
+/// random programs.
+TEST(DecodedModule, AlatFreeStreamsIgnoreAlatConfig) {
+  std::vector<core::Workload> Ws = workloads::standardWorkloads();
+  for (const core::Workload &W : Ws)
+    for (const pre::PromotionConfig &PC :
+         {pre::PromotionConfig::conservative(),
+          pre::PromotionConfig::baselineO3()}) {
+      SCOPED_TRACE(W.Name);
+      core::PipelineState S;
+      S.W = &W;
+      S.Config = core::configFor(PC);
+      core::PassManager PM;
+      core::addStandardPasses(PM);
+      ASSERT_TRUE(PM.run(S)) << S.Result.Error;
+      EXPECT_EQ(expectAlatBlind(*S.Decoded), 24u);
+    }
+
+  namespace fs = std::filesystem;
+  unsigned Repros = 0;
+  for (const auto &Entry :
+       fs::directory_iterator(fs::path(SRP_SOURCE_DIR) / "fuzz-repros")) {
+    if (Entry.path().extension() != ".sir")
+      continue;
+    SCOPED_TRACE(Entry.path().filename().string());
+    std::ifstream In(Entry.path());
+    std::stringstream Buf;
+    Buf << In.rdbuf();
+    auto MM = compileText(Buf.str(), /*Promote=*/false);
+    expectAlatBlind(DecodedModule(*MM));
+    ++Repros;
+  }
+  EXPECT_GT(Repros, 0u);
+
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    ir::Module M;
+    fuzz::buildRandomProgram(M, Seed);
+    auto MM = lower(M);
+    expectAlatBlind(DecodedModule(*MM));
+  }
+}
+
+/// The key is exact: an ALAT-using stream keys the ALAT config and the
+/// fault plan, and any other field change gives a different key too.
+TEST(DecodedModule, SimulationKeySeparatesWhatCanMatter) {
+  core::Workload W = workloads::standardWorkloads().front();
+  core::PipelineState S;
+  S.W = &W;
+  S.Config = core::configFor(pre::PromotionConfig::alat());
+  core::PassManager PM;
+  core::addStandardPasses(PM);
+  ASSERT_TRUE(PM.run(S)) << S.Result.Error;
+  const DecodedModule &DM = *S.Decoded;
+  ASSERT_TRUE(usesAlat(DM));
+  const std::string Base = simulationKey(DM, SimConfig());
+  EXPECT_EQ(Base, simulationKey(DM, SimConfig()));
+  SimConfig C;
+  C.Faults = FaultPlan::fromSeed(3);
+  EXPECT_NE(Base, simulationKey(DM, C));
+  C = SimConfig();
+  C.Alat.Entries = 16;
+  EXPECT_NE(Base, simulationKey(DM, C));
+  C = SimConfig();
+  C.UseStA = false;
+  EXPECT_NE(Base, simulationKey(DM, C));
+  C = SimConfig();
+  C.MaxInstructions = 100;
+  EXPECT_NE(Base, simulationKey(DM, C));
+  C = SimConfig();
+  C.Memory.L2Latency = 10;
+  EXPECT_NE(Base, simulationKey(DM, C));
 }
 
 } // namespace

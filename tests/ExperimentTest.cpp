@@ -3,20 +3,29 @@
 // The determinism contract of core::runExperiments: a pipeline run is a
 // pure function of (workload, config), so the counters coming back must
 // be byte-identical for any thread count. PipelineResult::Timings is
-// wall-clock and explicitly excluded (see core/Pipeline.h).
+// wall-clock and explicitly excluded (see core/Pipeline.h). The grid's
+// single-flight memo (core::ProfileCache) runs each train profile and
+// each distinct simulation once; the tests here pin both counts and
+// that a memoized simulation equals a fresh one. CI runs this suite
+// under ThreadSanitizer.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Experiment.h"
+#include "core/Pass.h"
+#include "core/SingleFlight.h"
 
 #include "support/Stats.h"
 
 #include "ir/IRBuilder.h"
 #include "workloads/LoopHelper.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <thread>
 
 using namespace srp;
 using namespace srp::core;
@@ -195,6 +204,183 @@ TEST(ExperimentTest, FailedTrainRunReleasesWaiters) {
     EXPECT_FALSE(PR.Ok);
     EXPECT_EQ(PR.Error, "train run failed: fuel exhausted");
   }
+}
+
+/// Compiles \p W under \p Config without any cache; the state keeps the
+/// decoded binary.
+std::unique_ptr<PipelineState> compile(const Workload &W,
+                                       const PipelineConfig &Config) {
+  auto S = std::make_unique<PipelineState>();
+  S->W = &W;
+  S->Config = Config;
+  PassManager PM;
+  addStandardPasses(PM);
+  EXPECT_TRUE(PM.run(*S)) << S->Result.Error;
+  return S;
+}
+
+void expectSameSim(const arch::SimResult &A, const arch::SimResult &B) {
+  EXPECT_EQ(A.Ok, B.Ok);
+  EXPECT_EQ(A.Error, B.Error);
+  EXPECT_EQ(A.Output, B.Output);
+  EXPECT_EQ(A.ExitValue, B.ExitValue);
+  EXPECT_EQ(0, std::memcmp(&A.Counters, &B.Counters, sizeof(A.Counters)));
+  EXPECT_EQ(0, std::memcmp(&A.Alat, &B.Alat, sizeof(A.Alat)));
+}
+
+/// The paper grid (10 workloads x 3 strategies) compiles 21 distinct
+/// binaries: conservative and baseline promotion produce the same binary
+/// for every workload but vortex. The memo simulates each once at any
+/// thread count, and every memoized result equals a fresh simulation of
+/// that pipeline's own binary.
+TEST(ExperimentTest, PaperGridSimulatesEachDistinctBinaryOnce) {
+  std::vector<Workload> Ws = workloads::standardWorkloads();
+  std::vector<Experiment> Exps;
+  for (const Workload &W : Ws)
+    for (const pre::PromotionConfig &PC :
+         {pre::PromotionConfig::conservative(),
+          pre::PromotionConfig::baselineO3(), pre::PromotionConfig::alat()})
+      Exps.push_back({&W, configFor(PC), W.Name});
+
+  std::vector<arch::SimResult> Direct;
+  for (const Experiment &E : Exps) {
+    std::unique_ptr<PipelineState> S = compile(*E.W, E.Config);
+    Direct.push_back(arch::simulate(*S->Decoded, E.Config.Sim));
+  }
+
+  StatsRegistry &Stats = StatsRegistry::get();
+  for (unsigned Threads : {1u, 4u}) {
+    SCOPED_TRACE("-j" + std::to_string(Threads));
+    Stats.clear();
+    ExperimentOptions Opts;
+    Opts.Threads = Threads;
+    std::vector<PipelineResult> R = runExperiments(Exps, Opts);
+    EXPECT_EQ(Stats.value("sim.cache.misses"), 21u);
+    EXPECT_EQ(Stats.value("sim.cache.hits") + Stats.value("sim.cache.waits"),
+              9u);
+    EXPECT_EQ(Stats.value("profile.cache.misses"), 10u);
+    ASSERT_EQ(R.size(), Exps.size());
+    for (size_t I = 0; I < Exps.size(); ++I) {
+      SCOPED_TRACE(Exps[I].Label + " #" + std::to_string(I));
+      EXPECT_TRUE(R[I].Ok) << R[I].Error;
+      expectSameSim(R[I].Sim, Direct[I]);
+    }
+  }
+}
+
+/// An ALAT-using binary keys its fault plan and ALAT geometry; an
+/// ALAT-free one shares one entry across both.
+TEST(ExperimentTest, SimulationMemoKeysWhatCanChangeTheRun) {
+  Workload W = specKernel();
+  std::unique_ptr<PipelineState> Alat =
+      compile(W, configFor(pre::PromotionConfig::alat()));
+  std::unique_ptr<PipelineState> Plain =
+      compile(W, configFor(pre::PromotionConfig::conservative()));
+  ASSERT_TRUE(arch::usesAlat(*Alat->Decoded));
+  ASSERT_FALSE(arch::usesAlat(*Plain->Decoded));
+
+  StatsRegistry &Stats = StatsRegistry::get();
+  Stats.clear();
+  ProfileCache PC;
+  arch::SimConfig A, B;
+  A.Faults = arch::FaultPlan::fromSeed(3);
+  B.Faults = arch::FaultPlan::fromSeed(4);
+  expectSameSim(PC.simulate(*Alat->Decoded, A),
+                arch::simulate(*Alat->Decoded, A));
+  expectSameSim(PC.simulate(*Alat->Decoded, B),
+                arch::simulate(*Alat->Decoded, B));
+  EXPECT_EQ(PC.numSimulations(), 2u);
+  expectSameSim(PC.simulate(*Alat->Decoded, B),
+                arch::simulate(*Alat->Decoded, B));
+  EXPECT_EQ(PC.numSimulations(), 2u);
+  EXPECT_EQ(Stats.value("sim.cache.hits"), 1u);
+
+  arch::SimConfig Small;
+  Small.Alat.Entries = 16;
+  PC.simulate(*Plain->Decoded, arch::SimConfig());
+  expectSameSim(PC.simulate(*Plain->Decoded, Small),
+                arch::simulate(*Plain->Decoded, Small));
+  EXPECT_EQ(PC.numSimulations(), 3u);
+  EXPECT_EQ(Stats.value("sim.cache.misses"), 3u);
+  EXPECT_EQ(Stats.value("sim.cache.hits"), 2u);
+}
+
+/// A trap is a deterministic result of the key (the budget is part of
+/// it), so it is memoized with its exact error text.
+TEST(ExperimentTest, BudgetTrapIsMemoized) {
+  Workload W = specKernel();
+  std::unique_ptr<PipelineState> S =
+      compile(W, configFor(pre::PromotionConfig::alat()));
+  arch::SimConfig C;
+  C.MaxInstructions = 100;
+  const arch::SimResult Fresh = arch::simulate(*S->Decoded, C);
+  ASSERT_FALSE(Fresh.Ok);
+  EXPECT_EQ(Fresh.Error, "instruction budget exhausted");
+
+  StatsRegistry &Stats = StatsRegistry::get();
+  Stats.clear();
+  ProfileCache PC;
+  expectSameSim(PC.simulate(*S->Decoded, C), Fresh);
+  expectSameSim(PC.simulate(*S->Decoded, C), Fresh);
+  EXPECT_EQ(Stats.value("sim.cache.misses"), 1u);
+  EXPECT_EQ(Stats.value("sim.cache.hits"), 1u);
+}
+
+/// The memo holds at most MaxEntries finished simulations, dropping the
+/// oldest: the first key is recomputed, the newest is still a hit.
+TEST(ExperimentTest, SimulationMemoIsBounded) {
+  Workload W = specKernel();
+  std::unique_ptr<PipelineState> S =
+      compile(W, configFor(pre::PromotionConfig::conservative()));
+  ProfileCache PC;
+  auto Budget = [](uint64_t N) {
+    arch::SimConfig C;
+    C.MaxInstructions = N;
+    return C;
+  };
+  const size_t N = ProfileCache::MaxEntries + 6;
+  for (uint64_t I = 1; I <= N; ++I)
+    PC.simulate(*S->Decoded, Budget(I));
+  EXPECT_EQ(PC.numSimulations(), ProfileCache::MaxEntries);
+
+  StatsRegistry &Stats = StatsRegistry::get();
+  Stats.clear();
+  PC.simulate(*S->Decoded, Budget(N));
+  EXPECT_EQ(Stats.value("sim.cache.hits"), 1u);
+  PC.simulate(*S->Decoded, Budget(1));
+  EXPECT_EQ(Stats.value("sim.cache.misses"), 1u);
+  EXPECT_EQ(PC.numSimulations(), ProfileCache::MaxEntries);
+}
+
+/// A leader that drops its claim without publishing (an exception in
+/// its computation) fails the key: a waiter is released with an error
+/// instead of blocking forever, and the next caller leads afresh.
+TEST(ExperimentTest, AbandonedLeadReleasesWaiters) {
+  SingleFlight<int> SF("test.flight", 4);
+  SingleFlight<int>::Claim Waiter;
+  {
+    SingleFlight<int>::Claim Lead = SF.acquire("k");
+    ASSERT_TRUE(Lead.Lead);
+    std::thread T([&] { Waiter = SF.acquire("k"); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Lead = SingleFlight<int>::Claim(); // abandons the lead
+    T.join();
+  }
+  // The waiter either blocked and got the error, or arrived after the
+  // abandon and leads a fresh attempt itself.
+  if (!Waiter.Lead) {
+    EXPECT_EQ(Waiter.Error, "computation abandoned");
+  }
+  Waiter = SingleFlight<int>::Claim();
+  EXPECT_EQ(SF.size(), 0u);
+
+  SingleFlight<int>::Claim C = SF.acquire("k");
+  ASSERT_TRUE(C.Lead);
+  SF.publish(C, std::make_shared<const int>(7));
+  SingleFlight<int>::Claim D = SF.acquire("k");
+  EXPECT_FALSE(D.Lead);
+  ASSERT_TRUE(D.Value);
+  EXPECT_EQ(*D.Value, 7);
 }
 
 } // namespace

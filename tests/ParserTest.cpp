@@ -238,6 +238,44 @@ entry:
   EXPECT_NE(Error.find("frobnicate"), std::string::npos);
 }
 
+/// A chk.a check deeper than one level parses, verifies and interprets
+/// (the IR allows it), but code generation lowers only depth-1 checks
+/// with a saved pointer: verifyLowerable rejects the rest with the
+/// statement's source line instead of letting lowering assert.
+TEST(ParserTest, UnlowerableSpeculationShapesAreRejected) {
+  Module M;
+  parseOrDie(R"(global a : int
+global q : int
+global pp : int
+
+func main() -> int {
+entry:
+  t1 = addrof a
+  st q = t1
+  t2 = addrof q
+  st pp = t2
+  t7 = ld<ld.a> **pp addr->t20
+  t7 = ld<chk.a.clr> **pp @addr(t20)
+  st<st.a> a = 3
+  print t7
+  ret t7
+}
+)",
+             M);
+  for (unsigned I = 0; I < M.numFunctions(); ++I)
+    M.function(I)->recomputeCFG();
+  EXPECT_TRUE(verifyModule(M).empty());
+  std::vector<std::string> Errors = verifyLowerable(M);
+  ASSERT_EQ(Errors.size(), 2u);
+  EXPECT_NE(Errors[0].find("line 12"), std::string::npos) << Errors[0];
+  EXPECT_NE(Errors[0].find("chk.a check must be a depth-1 load"),
+            std::string::npos)
+      << Errors[0];
+  EXPECT_NE(Errors[1].find("line 13"), std::string::npos) << Errors[1];
+  EXPECT_NE(Errors[1].find("st.a without the register"), std::string::npos)
+      << Errors[1];
+}
+
 TEST(ParserTest, RejectsUnknownSymbol) {
   Module M;
   std::string Error;

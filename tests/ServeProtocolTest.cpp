@@ -364,4 +364,27 @@ TEST(ServeProtocol, VoidMainExitValueIsZero) {
       << Response;
 }
 
+// A parseable program whose chk.a check code generation cannot lower
+// (a two-level chain) is a status-2 verify error naming the line, not
+// an abort of the server.
+TEST(ServeProtocol, UnlowerableCheckIsStatus2) {
+  const char *Program =
+      "global a : int\\nglobal q : int\\nglobal pp : int\\n\\n"
+      "func main() -> int {\\nentry:\\n  t1 = addrof a\\n  st q = t1\\n"
+      "  t2 = addrof q\\n  st pp = t2\\n"
+      "  t7 = ld<ld.a> **pp addr->t20\\n"
+      "  t7 = ld<chk.a.clr> **pp @addr(t20)\\n  print t7\\n  ret t7\\n}\\n";
+  ServerCore Core(testOptions());
+  std::string Response = Core.handle(
+      std::string("{\"id\":\"c\",\"op\":\"run\",\"program\":\"") +
+      Program + "\"}");
+  EXPECT_EQ(statusOf(Response), 2) << Response;
+  EXPECT_NE(Response.find("line 12"), std::string::npos) << Response;
+  EXPECT_NE(Response.find("chk.a check must be a depth-1 load"),
+            std::string::npos)
+      << Response;
+  // The server is still up.
+  EXPECT_EQ(statusOf(Core.handle("{\"op\":\"ping\"}")), 0);
+}
+
 } // namespace

@@ -3,6 +3,7 @@
 #include "support/Hash.h"
 #include "support/JSONReader.h"
 #include "support/OStream.h"
+#include "support/PagedMemory.h"
 #include "support/RNG.h"
 #include "support/Stats.h"
 #include "support/StringUtils.h"
@@ -274,6 +275,27 @@ TEST(RNGTest, NextDoubleUnitInterval) {
     Sum += V;
   }
   EXPECT_NEAR(Sum / 10000.0, 0.5, 0.02);
+}
+
+/// Unwritten words read as zero, also in pages recycled from an earlier
+/// store on the same thread, and neighbouring pages are independent.
+TEST(PagedMemoryTest, RecycledPagesReadAsZero) {
+  const uint64_t Bases[] = {0x10000 >> 3, 0x40000000 >> 3, 0x80000000 >> 3};
+  {
+    PagedMemory M;
+    for (uint64_t B : Bases)
+      for (uint64_t W = 0; W < 5000; W += 7)
+        M.store(B + W, ~W);
+    for (uint64_t B : Bases)
+      for (uint64_t W = 0; W < 5000; W += 7)
+        ASSERT_EQ(M.load(B + W), ~W);
+  }
+  PagedMemory M;
+  for (uint64_t B : Bases) {
+    M.store(B + 4999, 1);
+    for (uint64_t W = 0; W < 5000; ++W)
+      ASSERT_EQ(M.load(B + W), W == 4999 ? 1u : 0u) << B + W;
+  }
 }
 
 } // namespace

@@ -252,12 +252,16 @@ int main(int Argc, char **Argv) {
   W.key("stats");
   {
     // Process-wide registry slice: cache effectiveness and allocation
-    // counters (zero when a build predates the counter).
+    // counters (zero when a build predates the counter). The profile and
+    // simulation memo counters split lookups between hits and waits by
+    // thread timing at -jN; their sum per grid is deterministic.
     StatsRegistry &SR = StatsRegistry::get();
     W.beginObject();
     for (const char *Key :
          {"analysis.cache.hits", "analysis.cache.misses",
-          "analysis.cache.invalidations", "alloc.arena.bytes",
+          "analysis.cache.invalidations", "profile.cache.hits",
+          "profile.cache.misses", "profile.cache.waits", "sim.cache.hits",
+          "sim.cache.misses", "sim.cache.waits", "alloc.arena.bytes",
           "alloc.arena.slabs", "alloc.arena.resets"})
       W.key(Key).value(SR.value(Key));
     W.endObject();

@@ -29,9 +29,10 @@
 //     --quiet           suppress per-batch progress
 //
 //   srp-fuzz --replay=SHAPE:PROG:CFG:FAULT
-//     Re-run one finding's triple and report the oracle verdict. The
-//     triple is printed with every finding and embedded in each repro
-//     file header. Combine with --taint to replay a taint-mode finding
+//     Re-run one finding's triple and report the oracle verdict; a
+//     failing triple is then minimized and the repro printed (unless
+//     --no-minimize). The triple is printed with every finding and
+//     embedded in each repro file header. Combine with --taint to replay a taint-mode finding
 //     (the secret labels are derived from the same seeds).
 //
 //   srp-fuzz --serve
@@ -172,6 +173,14 @@ int runReplay(const std::string &Arg, const Options &Opts) {
          << '\n';
   if (!R.FaultContext.empty())
     outs() << "fault schedule: " << R.FaultContext << '\n';
+  if (Opts.Fuzz.Minimize) {
+    std::string Repro = fuzz::minimizeFinding(
+        fuzz::generatedProgramText(Shape, Prog, Opts.Fuzz.Taint), Cfg, Fault,
+        Opts.Fuzz.FaultPlansPerProgram, R.Kind);
+    outs() << "--- minimized repro (" << fuzz::countStatements(Repro)
+           << " statement(s)) ---\n"
+           << Repro;
+  }
   return 1;
 }
 

@@ -480,6 +480,9 @@ int main(int Argc, char **Argv) {
     return 2;
   }
   std::vector<std::string> Errors = ir::verifyModule(M);
+  // Lint never lowers; a compile also needs shapes codegen can lower.
+  if (Errors.empty() && !Opts.Lint)
+    Errors = ir::verifyLowerable(M);
   if (!Errors.empty()) {
     for (const std::string &E : Errors)
       errs() << Opts.InputPath << ": " << E << '\n';
