@@ -4,7 +4,7 @@
 
 #include "alias/Andersen.h"
 #include "ir/Printer.h"
-#include "ssa/AnalysisCache.h"
+#include "ssa/Dominators.h"
 #include "ssa/HSSA.h"
 #include "support/Error.h"
 #include "support/StringUtils.h"
@@ -53,8 +53,7 @@ namespace srp::analysis {
 /// diagnostics at the sinks.
 class TaintSolver {
 public:
-  TaintSolver(ir::Module &M, TaintFlow &TF, ssa::AnalysisCache *Cache)
-      : M(M), TF(TF) {
+  TaintSolver(ir::Module &M, TaintFlow &TF) : M(M), TF(TF) {
     for (const auto &[S, Index] : interp::specSiteIndex(M))
       TF.SiteBits[S] = 1ULL << Index;
     for (unsigned I = 0, E = M.numSymbols(); I != E; ++I)
@@ -70,15 +69,9 @@ public:
       ir::Function &F = *M.function(FI);
       if (F.numBlocks() == 0)
         continue;
-      if (Cache) {
-        Forms.push_back(std::make_unique<ssa::HSSA>(
-            F, Cache->dominators(F), *TF.AA, /*Profile=*/nullptr));
-      } else {
-        OwnedDoms.push_back(std::make_unique<ssa::DominatorTree>(F));
-        Forms.push_back(std::make_unique<ssa::HSSA>(F, *OwnedDoms.back(),
-                                                    *TF.AA,
-                                                    /*Profile=*/nullptr));
-      }
+      Doms.push_back(std::make_unique<ssa::DominatorTree>(F));
+      Forms.push_back(std::make_unique<ssa::HSSA>(F, *Doms.back(), *TF.AA,
+                                                  /*Profile=*/nullptr));
     }
     solve();
     report();
@@ -374,7 +367,7 @@ private:
 
   ir::Module &M;
   TaintFlow &TF;
-  std::vector<std::unique_ptr<ssa::DominatorTree>> OwnedDoms;
+  std::vector<std::unique_ptr<ssa::DominatorTree>> Doms;
   std::vector<std::unique_ptr<ssa::HSSA>> Forms;
   std::map<const ir::Function *, Shadow> RetSummary;
   std::map<const ir::Function *, std::vector<State>> BlockOut;
@@ -393,7 +386,7 @@ TaintFlow::TaintFlow(ir::Module &M, const TaintFlowConfig &Config) {
     AA = OwnedAA.get();
   }
   SymShadow.assign(M.numSymbols(), Shadow());
-  TaintSolver Solver(M, *this, Config.Cache);
+  TaintSolver Solver(M, *this);
 }
 
 TaintFlow::~TaintFlow() = default;

@@ -60,10 +60,6 @@ namespace srp::alias {
 class AliasAnalysis;
 } // namespace srp::alias
 
-namespace srp::ssa {
-class AnalysisCache;
-} // namespace srp::ssa
-
 namespace srp::analysis {
 
 /// Which sink a speculative secret reached.
@@ -96,8 +92,6 @@ struct TaintFlowConfig {
   /// Points-to backing for the μ/χ object sets. When null the analysis
   /// builds its own alias::AndersenAnalysis.
   const alias::AliasAnalysis *AA = nullptr;
-  /// Dominator-tree cache to reuse (the pass pipeline's); optional.
-  ssa::AnalysisCache *Cache = nullptr;
 };
 
 /// The analysis result. Construction runs the module fixpoint; the object

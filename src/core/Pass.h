@@ -13,13 +13,14 @@
 /// StatsRegistry, and honouring PipelineConfig::DisabledPasses.
 ///
 /// PipelineState carries everything the passes hand to each other:
-/// the modules, the profiles, the alias analysis, the machine module,
-/// and — via ssa::AnalysisCache — the per-function analyses (dominators,
-/// loop info) that non-mutating passes share. The cache, like the whole
-/// state, is per-pipeline: the parallel experiment driver
-/// (core::runExperiments) runs one PipelineState per worker with no
-/// shared mutable data, which is what makes its results independent of
-/// the thread count.
+/// the modules, the profiles, the alias analysis and the machine module.
+/// Per-function analyses (dominators, loop info) are not part of it: the
+/// promoter and the taint solver, their only consumers, build their own
+/// (see Promoter.h). The state is per-pipeline: the parallel experiment
+/// driver (core::runExperiments) runs one PipelineState per worker, and
+/// the only thing the workers share is the ProfileCache, whose entries
+/// are pure functions of their keys — which is what makes the results
+/// independent of the thread count.
 ///
 /// Two input modes, selected by which field of PipelineState is set:
 ///  * workload mode (W): the evaluation flow — build the train module,
@@ -42,7 +43,6 @@
 #include "codegen/MIR.h"
 #include "interp/Profile.h"
 #include "ir/CFG.h"
-#include "ssa/AnalysisCache.h"
 
 #include <functional>
 #include <memory>
@@ -51,8 +51,8 @@
 namespace srp::core {
 
 /// The state a pipeline run threads through its passes. Self-contained:
-/// holds its own modules, profiles, and analysis cache, so concurrent
-/// pipelines never share mutable data.
+/// holds its own modules and profiles, so concurrent pipelines share no
+/// mutable data beyond the optional ProfileCache.
 struct PipelineState {
   // Inputs — exactly one of W (workload mode) / External (module mode).
   const Workload *W = nullptr;
@@ -73,14 +73,6 @@ struct PipelineState {
   interp::EdgeProfile EdgeProf;
   bool HasProfile = false; ///< profile pass ran (it may be disabled)
   std::unique_ptr<alias::AliasAnalysis> AA;
-  ssa::AnalysisCache Analyses;
-  /// Optional externally owned analysis cache (srp-serve's per-shard
-  /// caches). When set, passes use it instead of Analyses, so cache
-  /// effectiveness counters aggregate across the requests of a shard.
-  /// The owner is responsible for exclusive use during the run and for
-  /// clear()-ing entries before the module dies (pointer-keyed entries
-  /// must never outlive their functions).
-  ssa::AnalysisCache *SharedAnalyses = nullptr;
   std::unique_ptr<codegen::MModule> MM;
   /// Decode-once micro-op stream for MM (Decoded.h). Built by the
   /// simulate pass and kept on the state so later consumers of the same
@@ -96,11 +88,6 @@ struct PipelineState {
 
   /// The module the compiling passes operate on.
   ir::Module &module() { return External ? *External : RefModule; }
-
-  /// The analysis cache passes should consult (shared when injected).
-  ssa::AnalysisCache &analyses() {
-    return SharedAnalyses ? *SharedAnalyses : Analyses;
-  }
 };
 
 /// One named step of the pipeline.
@@ -114,12 +101,6 @@ public:
 
   /// One-line description for the `srp-run passes` listing.
   virtual std::string_view description() const = 0;
-
-  /// Whether the pass transforms IR. Mutating passes own precise cache
-  /// maintenance: they must call S.Analyses.invalidate(F) for every
-  /// function they change (the manager no longer flushes the cache on
-  /// this boundary — sibling functions stay cached).
-  virtual bool mutatesIR() const { return false; }
 
   /// Runs the pass. On failure returns false with
   /// \p S.Result.Error set to a diagnostic.

@@ -196,15 +196,13 @@ public:
 };
 
 /// Constructs the alias analysis and runs SSAPRE-based promotion under
-/// the configured strategy, drawing dominators and loops from the
-/// pipeline's analysis cache.
+/// the configured strategy.
 class PromotePass final : public Pass {
 public:
   std::string_view name() const override { return "promote"; }
   std::string_view description() const override {
     return "speculative register promotion (SSAPRE over HSSA)";
   }
-  bool mutatesIR() const override { return true; }
   bool run(PipelineState &S) override {
     ir::Module &M = S.module();
     if (S.Config.UseAndersen)
@@ -215,8 +213,8 @@ public:
         (S.HasProfile && S.Config.UseAliasProfile) ? &S.AliasProf : nullptr;
     const interp::EdgeProfile *EP =
         (S.HasProfile && S.Config.UseEdgeProfile) ? &S.EdgeProf : nullptr;
-    S.Result.Promotion = pre::promoteModule(M, *S.AA, AP, EP,
-                                            S.Config.Promotion, &S.analyses());
+    S.Result.Promotion =
+        pre::promoteModule(M, *S.AA, AP, EP, S.Config.Promotion);
     std::vector<std::string> Errors = ir::verifyModule(M);
     if (!Errors.empty()) {
       S.Result.Error = "post-promotion verification failed: " + Errors[0];
@@ -282,7 +280,6 @@ public:
       S.AA = std::make_unique<alias::SteensgaardAnalysis>(M);
     analysis::TaintFlowConfig TFC;
     TFC.AA = S.AA.get();
-    TFC.Cache = &S.analyses();
     analysis::TaintFlow TF(M, TFC);
     S.Result.TaintDiags = TF.diags();
     if (S.Config.TaintCheck == SpecVerifyMode::Fatal &&

@@ -24,17 +24,15 @@
 #include "codegen/RegAlloc.h"
 #include "pre/Promotion.h"
 
+#include <array>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace srp::ir {
 class Module;
 } // namespace srp::ir
-
-namespace srp::ssa {
-class AnalysisCache;
-} // namespace srp::ssa
 
 namespace srp::core {
 
@@ -110,13 +108,9 @@ class ProfileCache; // ProfileCache.h
 /// Compiles \p W with \p Config and simulates the ref input. The module
 /// is rebuilt from scratch for both the train and ref phases. \p PC, if
 /// given, memoizes the train-run profile across pipelines of the same
-/// workload (ProfileCache.h). \p AC, if given, is used in place of the
-/// state's own analysis cache (the caller owns exclusive use for the
-/// duration of the call and must clear() it before reusing — entries
-/// are pointer-keyed to this run's functions).
+/// workload (ProfileCache.h).
 PipelineResult runPipeline(const Workload &W, const PipelineConfig &Config,
-                           ProfileCache *PC = nullptr,
-                           ssa::AnalysisCache *AC = nullptr);
+                           ProfileCache *PC = nullptr);
 
 /// Runs the interpreter directly on the ref build (the oracle).
 std::vector<std::string> oracleOutput(const Workload &W, uint64_t Fuel =
@@ -133,6 +127,17 @@ PipelineConfig configFor(const pre::PromotionConfig &Promotion);
 /// PipelineResult::Error instead of tripping an assert deep in the
 /// simulator — user-facing tools (srp-run, srp-fuzz) rely on that.
 std::string validatePipelineConfig(const PipelineConfig &Config);
+
+/// The StatsRegistry slice reported as the "stats" object of the
+/// srp-bench/1 schema (`srp-bench --json`, `srp-run --timing-json`):
+/// memo effectiveness and arena allocation, zero when nothing recorded
+/// them. Lookups of the profile and simulation memos split between hits
+/// and waits by thread timing at -jN; their sum per grid is
+/// deterministic.
+inline constexpr std::array<std::string_view, 9> ReportedStatsKeys = {
+    "profile.cache.hits", "profile.cache.misses", "profile.cache.waits",
+    "sim.cache.hits",     "sim.cache.misses",     "sim.cache.waits",
+    "alloc.arena.bytes",  "alloc.arena.slabs",    "alloc.arena.resets"};
 
 } // namespace srp::core
 

@@ -577,45 +577,16 @@ std::string ServerCore::runOp(const RunRequest &Req, bool WantStats) {
                       WantStats ? &Stats : nullptr, Body);
 }
 
-ServerCore::PipelineShard &
-ServerCore::shardFor(const std::string &ShardKey) {
-  return Shards[std::hash<std::string>{}(ShardKey) % NumShards];
-}
-
 PipelineResult ServerCore::executeRun(const RunRequest &Req,
                                       std::string &Error, int &ErrorStatus) {
-  // Borrow the shard's analysis cache when it is free (see Serve.h).
   // Requests shard by program — workload name, or canonical text for an
-  // inline program — so every config of one program shares one shard's
+  // inline program — so every config of one program shares one
   // ProfileCache: the train profile is config-independent, and configs
   // that compile to the same binary share its simulation.
-  PipelineShard &Shard =
-      shardFor(Req.IsProgram ? Req.CanonicalProgram : Req.WorkloadName);
-  std::unique_lock<std::mutex> ShardLock(Shard.M, std::try_to_lock);
-  ssa::AnalysisCache *AC =
-      ShardLock.owns_lock() ? &Shard.Analyses : nullptr;
-  ssa::AnalysisCache::CacheStats Before;
-  if (AC)
-    Before = AC->stats();
-  else
-    StatsRegistry::current().add("serve.analysis.cache.shard_busy", 1);
-  struct BorrowGuard {
-    ssa::AnalysisCache *AC;
-    ssa::AnalysisCache::CacheStats Before;
-    ~BorrowGuard() {
-      if (!AC)
-        return;
-      const ssa::AnalysisCache::CacheStats &After = AC->stats();
-      StatsRegistry &SR = StatsRegistry::current();
-      SR.add("serve.analysis.cache.hits", After.Hits - Before.Hits);
-      SR.add("serve.analysis.cache.misses", After.Misses - Before.Misses);
-      SR.add("serve.analysis.cache.invalidations",
-             After.Invalidations - Before.Invalidations);
-      // Entries are keyed by this request's function pointers; drop
-      // them before the module dies (counters survive the clear).
-      AC->clear();
-    }
-  } Borrow{AC, Before};
+  const std::string &ShardKey =
+      Req.IsProgram ? Req.CanonicalProgram : Req.WorkloadName;
+  ProfileCache &Profiles =
+      ProfileShards[std::hash<std::string>{}(ShardKey) % NumShards];
 
   if (!Req.IsProgram) {
     const Workload *Found = nullptr;
@@ -630,7 +601,7 @@ PipelineResult ServerCore::executeRun(const RunRequest &Req,
     Workload W = *Found;
     W.TrainScale = Req.TrainScale;
     W.RefScale = Req.RefScale;
-    PipelineResult R = runPipeline(W, Req.Config, &Shard.Profiles, AC);
+    PipelineResult R = runPipeline(W, Req.Config, &Profiles);
     if (!R.Ok) {
       ErrorStatus = 1;
       Error = R.Error.empty() ? "pipeline failed" : R.Error;
@@ -651,8 +622,7 @@ PipelineResult ServerCore::executeRun(const RunRequest &Req,
   PipelineState S;
   S.External = &M;
   S.Config = Req.Config;
-  S.ProfCache = &Shard.Profiles; // module mode: the simulation memo only
-  S.SharedAnalyses = AC;
+  S.ProfCache = &Profiles; // module mode: the simulation memo only
   PassManager PM;
   addStandardPasses(PM);
   if (!PM.run(S)) {

@@ -3,8 +3,9 @@
 // The per-function driver of the staged SSAPRE pass. The stages
 // themselves live in their own translation units (see PromotionContext.h
 // for the map); this file only sequences them, accumulates per-stage wall
-// time, and wires the optional AnalysisCache so dominators and loops are
-// computed once per function per pipeline instead of per promotion run.
+// time, and owns each function's dominators and loops: built once, and
+// rebuilt for the conservative cleanup run only if the strategy run
+// changed the function.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,10 +15,10 @@
 #include "pre/PromotionContext.h"
 
 #include "ir/Verifier.h"
-#include "ssa/AnalysisCache.h"
 #include "support/Stats.h"
 #include "support/Timer.h"
 
+#include <cassert>
 #include <optional>
 
 using namespace srp;
@@ -96,11 +97,7 @@ PromotionStats srp::pre::promoteFunction(ir::Function &F,
                                          const alias::AliasAnalysis &AA,
                                          const interp::AliasProfile *Profile,
                                          const interp::EdgeProfile *Edges,
-                                         const PromotionConfig &Config,
-                                         ssa::AnalysisCache *Cache) {
-  // Earlier mutating passes are contractually required to have
-  // invalidated F already (AnalysisCache.h), so a cached dominator tree
-  // here is still valid; recomputing the edge lists is idempotent.
+                                         const PromotionConfig &Config) {
   F.recomputeCFG();
   StageTimings Times;
 
@@ -112,34 +109,31 @@ PromotionStats srp::pre::promoteFunction(ir::Function &F,
            P.AddrMats.empty();
   };
 
-  // One promotion run with the given config, drawing dominators and loops
-  // from the cache when the caller provides one.
+  // Dominators and loops of F, built on demand and dropped whenever a
+  // run changes F.
+  std::optional<DominatorTree> DT;
+  std::optional<LoopInfo> LI;
+
+  // One promotion run with the given config.
   auto RunOnce = [&](const PromotionConfig &Cfg) {
-    std::optional<DominatorTree> LocalDT;
-    std::optional<LoopInfo> LocalLI;
-    const DominatorTree *DT;
-    const LoopInfo *LI;
-    if (Cache) {
-      DT = &Cache->dominators(F);
-      LI = &Cache->loops(F);
-    } else {
-      LocalDT.emplace(F);
-      LocalLI.emplace(*LocalDT);
-      DT = &*LocalDT;
-      LI = &*LocalLI;
+    if (!DT) {
+      DT.emplace(F);
+      LI.emplace(*DT);
     }
+    // Promotion changes a CFG only by splitting edges, which adds blocks.
+    assert(DT->numBlocks() == F.numBlocks() && "stale dominator tree");
     PromotionContext Ctx(F, AA, Profile, Edges, Cfg, *DT, *LI);
     PromotionStats S = runPromotion(Ctx, &Times);
     // The run mutated F iff the plan applied anything or cleanup erased
-    // a check; copy propagation below may rewrite further. Invalidate
-    // only then — an empty run leaves the cached dominators and loops
-    // live for the second (conservative) run and the verifier passes.
+    // a check; copy propagation below may rewrite further. Only then are
+    // the analyses stale — an empty run leaves them valid for the second
+    // (conservative) run.
     bool Mutated = !PlanEmpty(Ctx.Plan) || S.ChecksRemovedByCleanup != 0;
     CopyPropStats CP = propagateCopies(F);
     Mutated |= CP.UsesRewritten != 0 || CP.AssignsRemoved != 0;
     if (Mutated) {
-      if (Cache)
-        Cache->invalidate(F);
+      LI.reset();
+      DT.reset();
       F.recomputeCFG();
     }
     return S;
@@ -167,11 +161,9 @@ PromotionStats srp::pre::promoteModule(ir::Module &M,
                                        const alias::AliasAnalysis &AA,
                                        const interp::AliasProfile *Profile,
                                        const interp::EdgeProfile *Edges,
-                                       const PromotionConfig &Config,
-                                       ssa::AnalysisCache *Cache) {
+                                       const PromotionConfig &Config) {
   PromotionStats Total;
   for (unsigned I = 0; I < M.numFunctions(); ++I)
-    Total += promoteFunction(*M.function(I), AA, Profile, Edges, Config,
-                             Cache);
+    Total += promoteFunction(*M.function(I), AA, Profile, Edges, Config);
   return Total;
 }

@@ -39,32 +39,26 @@
 #include "pre/Promotion.h"
 #include "ssa/HSSA.h"
 
-namespace srp::ssa {
-class AnalysisCache;
-} // namespace srp::ssa
-
 namespace srp::pre {
 
 /// Runs promotion on one function. \p Profile supplies the alias profile
 /// (may be null: no data speculation) and \p Edges the block/edge counts
 /// for profitability (may be null: structural heuristics only).
-/// \p Cache, when given, supplies dominators and loop info and is
-/// invalidated for \p F after mutation; without one the analyses are
-/// computed locally.
+/// Dominators and loop info are built here, once per function; the
+/// conservative cleanup run that follows an ALAT or software-check
+/// strategy reuses them unless the strategy run changed \p F.
 PromotionStats promoteFunction(ir::Function &F,
                                const alias::AliasAnalysis &AA,
                                const interp::AliasProfile *Profile,
                                const interp::EdgeProfile *Edges,
-                               const PromotionConfig &Config,
-                               ssa::AnalysisCache *Cache = nullptr);
+                               const PromotionConfig &Config);
 
 /// Runs promotion on every function of \p M and returns aggregate stats.
 /// Recomputes each function's CFG afterwards.
 PromotionStats promoteModule(ir::Module &M, const alias::AliasAnalysis &AA,
                              const interp::AliasProfile *Profile,
                              const interp::EdgeProfile *Edges,
-                             const PromotionConfig &Config,
-                             ssa::AnalysisCache *Cache = nullptr);
+                             const PromotionConfig &Config);
 
 } // namespace srp::pre
 

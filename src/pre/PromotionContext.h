@@ -236,9 +236,9 @@ struct StageTimings {
 };
 
 /// Analysis and planning state for one function. Holds the inputs (alias
-/// analysis, profiles, config), the cached analyses (dominators, loops —
-/// owned by the caller, typically the pass manager's AnalysisCache), the
-/// HSSA form, and the accumulated mutation plan.
+/// analysis, profiles, config), the function analyses (dominators, loops
+/// — owned by the caller, pre::promoteFunction), the HSSA form, and the
+/// accumulated mutation plan.
 class PromotionContext {
 public:
   PromotionContext(ir::Function &F, const alias::AliasAnalysis &AA,

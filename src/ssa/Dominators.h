@@ -30,6 +30,10 @@ public:
 
   ir::Function &function() const { return F; }
 
+  /// Number of blocks the function had when the tree was built. Edge
+  /// splits add blocks, so a tree with fewer than the function's is stale.
+  unsigned numBlocks() const { return RpoNumber.size(); }
+
   bool isReachable(const ir::BasicBlock *BB) const {
     return RpoNumber[BB->getId()] != ~0u;
   }

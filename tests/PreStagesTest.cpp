@@ -5,7 +5,8 @@
 // orchestrator does, then runs PhiInsertion → Rename → DownSafety →
 // WillBeAvail and asserts on the intermediate Φ/version webs instead of
 // the final IR. PromoterTest covers the end-to-end behaviour; these tests
-// pin the stage contracts the split introduced.
+// pin the stage contracts the split introduced, and the orchestrator's
+// reuse of one function's analyses across its two promotion runs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +15,10 @@
 #include "alias/AliasAnalysis.h"
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
+#include "ir/Printer.h"
+#include "pre/CopyProp.h"
 #include "pre/Promoter.h"
+#include "support/OStream.h"
 
 #include <gtest/gtest.h>
 
@@ -26,6 +30,15 @@ using namespace srp::pre;
 using namespace srp::pre::detail;
 
 namespace {
+
+/// One train run of \p M, recording its alias and edge profiles.
+interp::RunResult train(Module &M, interp::AliasProfile &AP,
+                        interp::EdgeProfile &EP) {
+  interp::Interpreter Train(M);
+  Train.setAliasProfile(&AP);
+  Train.setEdgeProfile(&EP);
+  return Train.run();
+}
 
 /// Builds the analysis state for function 0 of \p M the way
 /// promoteFunction does, up to and including candidate collection, and
@@ -45,10 +58,7 @@ struct StageHarness {
     for (unsigned I = 0; I < M.numFunctions(); ++I)
       M.function(I)->recomputeCFG();
     if (UseProfile) {
-      interp::Interpreter Train(M);
-      Train.setAliasProfile(&AP);
-      Train.setEdgeProfile(&EP);
-      interp::RunResult R = Train.run();
+      interp::RunResult R = train(M, AP, EP);
       EXPECT_TRUE(R.Ok) << R.Error;
     }
     AA.emplace(M);
@@ -290,6 +300,126 @@ TEST(PreStagesTest, NotDownSafeWhenAPathSkipsTheReload) {
   EXPECT_FALSE(Phi->DownSafe)
       << "the join->exit path never evaluates the expression, and "
          "conservative promotion must not speculate an insertion";
+}
+
+//===----------------------------------------------------------------------===//
+// Orchestrator: analyses reused across the strategy and cleanup runs
+//===----------------------------------------------------------------------===//
+
+/// Two functions. `main` is a speculative loop-invariant load (Fig. 3)
+/// whose entry branches either into the loop header or around the loop,
+/// so the entry→header edge is critical: the ALAT run's hoisted ld.sa
+/// lands in a new split block, and the cleanup run needs fresh
+/// dominators. `flat` loads one global once — nothing to promote, so its
+/// analyses carry over to the cleanup run unchanged.
+void buildReuseModule(Module &M) {
+  Symbol *A = M.createGlobal("a", TypeKind::Int);
+  Symbol *C = M.createGlobal("c", TypeKind::Int);
+  Symbol *P = M.createGlobal("p", TypeKind::Int);
+  Symbol *Q = M.createGlobal("q", TypeKind::Int);
+  Symbol *I = M.createGlobal("i", TypeKind::Int);
+  IRBuilder B(M);
+  B.startFunction("main");
+  BasicBlock *Hdr = B.createBlock("hdr");
+  BasicBlock *Body = B.createBlock("body");
+  BasicBlock *Exit = B.createBlock("exit");
+  unsigned TA = B.emitAddrOf(A);
+  unsigned TC = B.emitAddrOf(C);
+  // Statically p and q may each point to a or c; at run time p=&a, q=&c.
+  B.emitStore(directRef(P), Operand::temp(TC));
+  B.emitStore(directRef(Q), Operand::temp(TA));
+  B.emitStore(directRef(P), Operand::temp(TA));
+  B.emitStore(directRef(Q), Operand::temp(TC));
+  B.emitStore(directRef(A), Operand::constInt(1000));
+  B.emitStore(directRef(I), Operand::constInt(0));
+  unsigned TGo = B.emitLoad(directRef(I));
+  unsigned TEnter = B.emitAssign(Opcode::CmpEq, Operand::temp(TGo),
+                                 Operand::constInt(0));
+  B.setCondBr(Operand::temp(TEnter), Hdr, Exit);
+  B.setBlock(Hdr);
+  unsigned TI = B.emitLoad(directRef(I));
+  unsigned TCmp =
+      B.emitAssign(Opcode::CmpLt, Operand::temp(TI), Operand::constInt(50));
+  B.setCondBr(Operand::temp(TCmp), Body, Exit);
+  B.setBlock(Body);
+  B.emitStore(indirectRef(Q, TypeKind::Int), Operand::temp(TI));
+  unsigned TP = B.emitLoad(indirectRef(P, TypeKind::Int));
+  unsigned TAdd =
+      B.emitAssign(Opcode::Add, Operand::temp(TP), Operand::temp(TI));
+  B.emitPrint(Operand::temp(TAdd));
+  unsigned TInc =
+      B.emitAssign(Opcode::Add, Operand::temp(TI), Operand::constInt(1));
+  B.emitStore(directRef(I), Operand::temp(TInc));
+  B.setBr(Hdr);
+  B.setBlock(Exit);
+  B.setRet();
+
+  B.startFunction("flat");
+  B.emitPrint(Operand::temp(B.emitLoad(directRef(C))));
+  B.setRet();
+
+  for (unsigned FI = 0; FI < M.numFunctions(); ++FI)
+    M.function(FI)->recomputeCFG();
+}
+
+std::string printed(const Function &F) {
+  std::string Text;
+  StringOStream OS(Text);
+  printFunction(F, OS);
+  return Text;
+}
+
+/// promoteModule builds each function's dominators and loops once and
+/// hands them to the conservative cleanup run only when the strategy run
+/// left the function unchanged. The reference runs both stages with
+/// freshly built analyses every time, so the printed IR must agree on
+/// both paths. Reusing the tree the split edge in `main` made stale
+/// trips promoteFunction's stale-tree assert; the cleanup run plans
+/// nothing here, so the IR alone would not show it.
+TEST(PreStagesTest, CleanupRunRebuildsAnalysesOnlyAfterMutation) {
+  Module Promoted, Reference;
+  buildReuseModule(Promoted);
+  buildReuseModule(Reference);
+  interp::AliasProfile AP, RefAP;
+  interp::EdgeProfile EP, RefEP;
+  interp::RunResult Trained = train(Promoted, AP, EP);
+  train(Reference, RefAP, RefEP);
+  ASSERT_TRUE(Trained.Ok) << Trained.Error;
+  ASSERT_EQ(Trained.Output.size(), 50u);
+
+  const Function &Main = *Promoted.function(0);
+  const Function &Flat = *Promoted.function(1);
+  size_t MainBlocks = Main.numBlocks();
+  std::string FlatBefore = printed(Flat);
+
+  alias::SteensgaardAnalysis AA(Promoted);
+  promoteModule(Promoted, AA, &AP, &EP, PromotionConfig::alat());
+  EXPECT_GT(Main.numBlocks(), MainBlocks)
+      << "the hoisted ld.sa must split the critical entry edge";
+  EXPECT_EQ(printed(Flat), FlatBefore) << "nothing to promote in flat";
+
+  alias::SteensgaardAnalysis RefAA(Reference);
+  for (unsigned FI = 0; FI < Reference.numFunctions(); ++FI) {
+    Function &F = *Reference.function(FI);
+    for (const PromotionConfig &Cfg :
+         {PromotionConfig::alat(), PromotionConfig::conservative()}) {
+      ssa::DominatorTree DT(F);
+      ssa::LoopInfo LI(DT);
+      PromotionContext Ctx(F, RefAA, &RefAP, &RefEP, Cfg, DT, LI);
+      runPromotion(Ctx);
+      propagateCopies(F);
+      F.recomputeCFG();
+    }
+  }
+  for (unsigned FI = 0; FI < Promoted.numFunctions(); ++FI)
+    EXPECT_EQ(printed(*Promoted.function(FI)),
+              printed(*Reference.function(FI)))
+        << "function " << Promoted.function(FI)->getName();
+
+  interp::Interpreter After(Promoted);
+  interp::RunResult R = After.run();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, Trained.Output);
 }
 
 } // namespace

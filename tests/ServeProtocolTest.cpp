@@ -190,10 +190,11 @@ TEST(ServeProtocol, BatchKeepsOrderAndCaches) {
 
 // Per-request stats epochs: a request's "stats" echo describes that
 // request alone, not the process's cumulative registry. A cold compile
-// records analysis-cache work; a cached repeat of the same request
-// records none of it; and the cold epoch is identical across fresh
-// servers (modulo the wall-clock pass timings, which are the one
-// documented nondeterministic family).
+// on a fresh server runs the train profile once (one profile-cache
+// miss); a cached repeat of the same request records none of it; and
+// the cold epoch is identical across fresh servers (modulo the
+// wall-clock pass timings, which are the one documented
+// nondeterministic family).
 TEST(ServeProtocol, StatsEpochIsPerRequest) {
   const char *Request =
       "{\"op\":\"run\",\"workload\":\"mcf\",\"train_scale\":1,"
@@ -216,19 +217,19 @@ TEST(ServeProtocol, StatsEpochIsPerRequest) {
   ServerCore A(testOptions());
   std::string ColdA = A.handle(Request);
   ASSERT_EQ(statusOf(ColdA), 0);
-  int64_t MissesA = EpochCounter(ColdA, "analysis.cache.misses");
-  EXPECT_GT(MissesA, 0) << ColdA;
+  int64_t MissesA = EpochCounter(ColdA, "profile.cache.misses");
+  EXPECT_EQ(MissesA, 1) << ColdA;
 
   // Same request on a fresh server: same epoch counters (determinism).
   ServerCore B(testOptions());
   std::string ColdB = B.handle(Request);
-  EXPECT_EQ(MissesA, EpochCounter(ColdB, "analysis.cache.misses"));
+  EXPECT_EQ(MissesA, EpochCounter(ColdB, "profile.cache.misses"));
 
-  // The cached repeat runs no pipeline: its epoch has cache hits and no
-  // analysis work, however much the process has accumulated.
+  // The cached repeat runs no pipeline: its epoch has a result-cache hit
+  // and no profile work, however much the process has accumulated.
   std::string Warm = A.handle(Request);
   EXPECT_NE(Warm.find("\"cached\":true"), std::string::npos);
-  EXPECT_EQ(EpochCounter(Warm, "analysis.cache.misses"), 0);
+  EXPECT_EQ(EpochCounter(Warm, "profile.cache.misses"), 0);
   EXPECT_EQ(EpochCounter(Warm, "serve.cache.hits"), 1);
 }
 

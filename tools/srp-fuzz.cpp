@@ -18,7 +18,9 @@
 //     --no-faults       skip the fault-injection schedules
 //     --fault-plans=N   fault schedules per program (default 2)
 //     --no-minimize     keep findings at generated size
-//     --repro-dir=PATH  where minimized repros go (default fuzz-repros)
+//     --repro-dir=PATH  where minimized repros go (default fuzz-findings,
+//                       git-ignored; the tracked fuzz-repros/ corpus is
+//                       must-pass, so a repro moves there once fixed)
 //     --max-findings=N  stop collecting after N findings (default 10)
 //     --taint           label a deterministic subset of each program's
 //                       globals `secret`; the oracle then cross-checks
@@ -252,7 +254,7 @@ int runServeCampaign(const Options &Opts) {
 
 int main(int Argc, char **Argv) {
   Options Opts;
-  Opts.Fuzz.ReproDir = "fuzz-repros";
+  Opts.Fuzz.ReproDir = "fuzz-findings";
   if (!parseArgs(Argc, Argv, Opts))
     return 2;
 

@@ -432,10 +432,7 @@ bool writeTimingJson(const Options &Opts, const core::PipelineState &S,
   W.key("stats");
   {
     W.beginObject();
-    for (const char *Key :
-         {"analysis.cache.hits", "analysis.cache.misses",
-          "analysis.cache.invalidations", "alloc.arena.bytes",
-          "alloc.arena.slabs", "alloc.arena.resets"})
+    for (std::string_view Key : core::ReportedStatsKeys)
       W.key(Key).value(SR.value(Key));
     W.endObject();
   }
